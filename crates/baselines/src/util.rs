@@ -3,20 +3,7 @@
 use gmp_geom::Point;
 use gmp_net::{NodeId, Topology};
 
-/// The neighbor of `node` strictly closer to `target` than `node` itself,
-/// minimizing the remaining distance (plain greedy geographic forwarding).
-pub fn greedy_next_hop(topo: &Topology, node: NodeId, target: Point) -> Option<NodeId> {
-    let own = topo.pos(node).dist_sq(target);
-    topo.neighbors(node)
-        .iter()
-        .copied()
-        .filter(|&n| topo.pos(n).dist_sq(target) < own)
-        .min_by(|&a, &b| {
-            topo.pos(a)
-                .dist_sq(target)
-                .total_cmp(&topo.pos(b).dist_sq(target))
-        })
-}
+pub use gmp_net::face::greedy_next_hop;
 
 /// [`greedy_next_hop`] restricted to neighbors the liveness mask reports
 /// alive; identical to the unfiltered version when `alive` is `None`.

@@ -24,16 +24,15 @@
 //! * `loss` — Figure 15 over a uniformly lossy channel;
 //! * `fig15mac` — Figure 15 with collisions, jitter, and ARQ;
 //! * `mactax` — per-protocol MAC retransmission overhead;
-//! * `campaign` — fault-injection robustness sweep, oracle-judged
-//!   (`BENCH_3.json`);
-//! * `guarantees` — the same campaign with the guaranteed-delivery
-//!   protocols (MCFR/GVG) on the panel and path stretch/transmission
-//!   columns: the guarantees-vs-overhead frontier (`BENCH_6.json`);
+//! * `guarantees` — fault-injection crash sweep, oracle-judged, with the
+//!   guaranteed-delivery protocols (MCFR/GVG) beside the best-effort
+//!   panel and path stretch/transmission columns: the
+//!   guarantees-vs-overhead frontier (`BENCH_6.json`);
 //!
 //! or `all` for everything. Results are printed as tables and written as
 //! CSV (plus SVG charts for the figures) under `--out` (default
 //! `results/`). `--threads N` caps the worker pool (default: all cores).
-//! `--protocols GMP,MCFR,…` filters the campaign panels (unknown tokens
+//! `--protocols GMP,MCFR,…` filters the `guarantees` panel (unknown tokens
 //! warn and are skipped; an empty selection falls back to the default).
 //!
 //! `bench` is different: it runs the fixed perf workload and writes
@@ -138,8 +137,7 @@ struct Args {
     scale: Scale,
     out: PathBuf,
     threads: usize,
-    /// `--protocols` filter for the campaign commands; `None` = the
-    /// command's default panel.
+    /// `--protocols` filter for `guarantees`; `None` = its default panel.
     protocols: Option<Vec<ProtocolKind>>,
 }
 
@@ -1191,34 +1189,33 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Identity of one campaign flavor: its table heading and output names.
-struct CampaignSpec {
-    title: &'static str,
-    schema: &'static str,
-    csv_name: &'static str,
-    json_name: &'static str,
-}
-
-/// Runs a fault-injection campaign over `protocols` × `intensities` and
-/// emits the table, the CSV, and the schema'd JSON under `--out`. Shared
-/// by `campaign` (`BENCH_3.json`) and `guarantees` (`BENCH_6.json`).
-fn emit_campaign(
-    args: &Args,
-    config: &SimConfig,
-    protocols: &[ProtocolKind],
-    intensities: &[f64],
-    k: usize,
-    spec: &CampaignSpec,
-) {
-    let &CampaignSpec {
-        title,
-        schema,
-        csv_name,
-        json_name,
-    } = spec;
+/// The guarantees-vs-overhead frontier behind `BENCH_6.json`: crash an
+/// increasing fraction of nodes at t = 0 and let the delivery-guarantee
+/// oracle split every failed destination into justified
+/// (graph-disconnected) and unjustified (protocol-attributable) losses,
+/// with the guaranteed-delivery protocols (MCFR/GVG) alongside the
+/// best-effort panel so delivery ratio, unjustified failures,
+/// transmissions, and path stretch can be traded off in one table. The
+/// hop budget is raised well above the default because FACE-1 void
+/// detours are long but finite — a truncated walk would void the
+/// certificate. See EXPERIMENTS.md.
+fn run_guarantees(args: &Args) {
     use gmp_bench::campaign::robustness_campaign;
     use gmp_sim::FailureCause;
 
+    let config = &SimConfig::paper().with_max_path_hops(4000);
+    let protocols = &args.protocols.clone().unwrap_or_else(|| {
+        vec![
+            ProtocolKind::Gmp,
+            ProtocolKind::Lgs,
+            ProtocolKind::Grd,
+            ProtocolKind::Smt,
+            ProtocolKind::Mcfr,
+            ProtocolKind::Gvg,
+        ]
+    });
+    let intensities = &[0.0, 0.05, 0.10, 0.20];
+    let k = 10;
     eprintln!(
         "running {}: intensity ∈ {intensities:?}, k = {k}, {} networks × {} tasks, {} protocols…",
         args.command,
@@ -1268,17 +1265,18 @@ fn emit_campaign(
             },
         ]);
     }
-    println!("\n{title}\n{}", render_table(&table));
-    let csv_path = args.out.join(csv_name);
+    println!(
+        "\nGuarantees frontier — guaranteed delivery vs overhead, oracle-judged\n{}",
+        render_table(&table)
+    );
+    let csv_path = args.out.join("guarantees.csv");
     match write_csv(&csv_path, &table) {
         Ok(()) => eprintln!("wrote {}", csv_path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", csv_path.display()),
     }
 
     let mut json = String::new();
-    json.push_str(&format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"workload\": {{\n"
-    ));
+    json.push_str("{\n  \"schema\": \"gmp-bench/6\",\n  \"workload\": {\n");
     json.push_str(&format!("    \"nodes\": {},\n", config.node_count));
     json.push_str(&format!("    \"k\": {k},\n"));
     json.push_str(&format!("    \"networks\": {},\n", args.scale.networks));
@@ -1340,74 +1338,11 @@ fn emit_campaign(
     if let Err(e) = std::fs::create_dir_all(&args.out) {
         eprintln!("warning: could not create {}: {e}", args.out.display());
     }
-    let path = args.out.join(json_name);
+    let path = args.out.join("BENCH_6.json");
     match std::fs::write(&path, &json) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-}
-
-/// The robustness campaign behind `BENCH_3.json`: crash an increasing
-/// fraction of nodes at t = 0 and let the delivery-guarantee oracle split
-/// every failed destination into justified (graph-disconnected) and
-/// unjustified (protocol-attributable) losses. See EXPERIMENTS.md.
-fn run_campaign(args: &Args) {
-    let config = SimConfig::paper();
-    let protocols = args.protocols.clone().unwrap_or_else(|| {
-        vec![
-            ProtocolKind::Gmp,
-            ProtocolKind::Lgs,
-            ProtocolKind::Grd,
-            ProtocolKind::Smt,
-        ]
-    });
-    emit_campaign(
-        args,
-        &config,
-        &protocols,
-        &[0.0, 0.05, 0.10, 0.20],
-        10,
-        &CampaignSpec {
-            title: "Robustness campaign — delivery under node crashes, oracle-judged",
-            schema: "gmp-bench/3",
-            csv_name: "campaign.csv",
-            json_name: "BENCH_3.json",
-        },
-    );
-}
-
-/// The guarantees-vs-overhead frontier behind `BENCH_6.json`: the same
-/// oracle-judged crash campaign, with the guaranteed-delivery protocols
-/// (MCFR/GVG) alongside the best-effort panel so delivery ratio,
-/// unjustified failures, transmissions, and path stretch can be traded
-/// off in one table. The hop budget is raised well above the campaign
-/// default because FACE-1 void detours are long but finite — a truncated
-/// walk would void the certificate. See EXPERIMENTS.md.
-fn run_guarantees(args: &Args) {
-    let config = SimConfig::paper().with_max_path_hops(4000);
-    let protocols = args.protocols.clone().unwrap_or_else(|| {
-        vec![
-            ProtocolKind::Gmp,
-            ProtocolKind::Lgs,
-            ProtocolKind::Grd,
-            ProtocolKind::Smt,
-            ProtocolKind::Mcfr,
-            ProtocolKind::Gvg,
-        ]
-    });
-    emit_campaign(
-        args,
-        &config,
-        &protocols,
-        &[0.0, 0.05, 0.10, 0.20],
-        10,
-        &CampaignSpec {
-            title: "Guarantees frontier — guaranteed delivery vs overhead, oracle-judged",
-            schema: "gmp-bench/6",
-            csv_name: "guarantees.csv",
-            json_name: "BENCH_6.json",
-        },
-    );
 }
 
 fn main() -> ExitCode {
@@ -1416,7 +1351,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: experiments <all|bench|scale|service|fig11|fig12|fig14|figlatency|fig15|overhead|treelen|planar|pbm|mobility|power|range|loss|fig15mac|mactax|campaign|guarantees> \
+                "usage: experiments <all|bench|scale|service|fig11|fig12|fig14|figlatency|fig15|overhead|treelen|planar|pbm|mobility|power|range|loss|fig15mac|mactax|guarantees> \
                  [--quick|--standard|--paper] [--threads N] [--out DIR] [--protocols LIST]"
             );
             return ExitCode::FAILURE;
@@ -1443,7 +1378,6 @@ fn main() -> ExitCode {
             run_loss(&args);
             run_fig15mac(&args);
             run_mactax(&args);
-            run_campaign(&args);
             run_guarantees(&args);
         }
         "fig11" => run_sweep_figures(&args, &["fig11"]),
@@ -1458,7 +1392,6 @@ fn main() -> ExitCode {
         "loss" => run_loss(&args),
         "fig15mac" => run_fig15mac(&args),
         "mactax" => run_mactax(&args),
-        "campaign" => run_campaign(&args),
         "guarantees" => run_guarantees(&args),
         "fig15" => run_fig15(&args),
         "overhead" => run_overhead(&args),

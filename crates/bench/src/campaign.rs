@@ -1,4 +1,4 @@
-//! Fault-injection robustness campaigns (`BENCH_3.json`).
+//! Fault-injection robustness campaigns (`BENCH_6.json`).
 //!
 //! The paper evaluates GMP on ideal static networks and only discusses
 //! voids qualitatively (Section 4.2). This campaign makes robustness a

@@ -10,7 +10,7 @@
 //! * [`experiments`] — the Figure 11/12/14 sweep over the destination
 //!   count, the Figure 15 density sweep, and the extension ablations;
 //! * [`campaign`] — fault-injection robustness campaigns judged by the
-//!   delivery-guarantee oracle (`BENCH_3.json`);
+//!   delivery-guarantee oracle (`experiments guarantees`, `BENCH_6.json`);
 //! * [`table`] — plain-text table rendering and CSV output;
 //! * [`chart`] — SVG line charts, regenerating the figures themselves.
 

@@ -1,4 +1,4 @@
-//! Peak-RSS measurement shared by the `bench`, `campaign`, and `scale`
+//! Peak-RSS measurement shared by the `bench`, `guarantees`, and `scale`
 //! commands.
 //!
 //! Linux exposes the high-water mark of a process's resident set as the

@@ -19,8 +19,8 @@
 //! them exactly** (positions compared by `f64` bit pattern), and a lookup
 //! only serves the stored grouping after verifying every one — so a hit
 //! is *proven* equal to what recomputation would produce, not assumed
-//! from a hash. Quantized positions appear in the fingerprint purely to
-//! find the candidate entry; correctness never rests on the hash.
+//! from a hash. The fingerprint only finds the candidate entry;
+//! correctness never rests on the hash.
 //!
 //! A verification failure (hash collision, a node's liveness flipped by a
 //! fault plan, even a different topology behind the same ids) falls back
@@ -34,6 +34,12 @@
 //! `find_next_hop`'s neighbor loop — precedes all floating-point work, so
 //! the two views are bit-identical by construction (the zero-fault parity
 //! contract).
+//!
+//! # One fill rule
+//!
+//! Both caches store a decision only while they have room. A full cache
+//! computes the decision into the caller's scratch and stores nothing:
+//! resident entries keep serving hits, and nothing is ever evicted.
 //!
 //! With `GMP_CACHE_PARANOID` set (any value but `0`), every verified hit
 //! *additionally* recomputes the decision and asserts the stored grouping
@@ -49,19 +55,13 @@ use gmp_net::{NodeId, Topology};
 
 use crate::grouping::{copy_grouping_into, DecisionScratch, Grouping};
 
-/// Tuning knobs for [`TreeCache`]. These affect only speed, never
-/// outcomes: capacity bounds memory, the quantum only shapes the lookup
-/// fingerprint (the exact validity check is unconditional).
+/// Tuning knobs for [`TreeCache`] and [`ConcurrentTreeCache`]. These
+/// affect only speed, never outcomes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
-    /// Maximum number of stored decisions before an epoch flush
-    /// (`GMP_CACHE_CAPACITY`).
+    /// Maximum number of stored decisions (`GMP_CACHE_CAPACITY`); a full
+    /// cache computes further decisions without storing them.
     pub capacity: usize,
-    /// Position quantization step for the fingerprint, meters
-    /// (`GMP_CACHE_QUANTUM`). Coarser buckets more near-identical
-    /// geometries onto the same probe; the exact check rejects any
-    /// false merge, so this trades hash spread against lookup hits.
-    pub quantum: f64,
     /// Recompute-and-compare every hit (`GMP_CACHE_PARANOID`).
     pub paranoid: bool,
 }
@@ -70,17 +70,15 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity: 8192,
-            quantum: 1e-3,
             paranoid: false,
         }
     }
 }
 
 impl CacheConfig {
-    /// The defaults with any `GMP_CACHE_CAPACITY` / `GMP_CACHE_QUANTUM` /
-    /// `GMP_CACHE_PARANOID` environment overrides applied. Unparsable or
-    /// out-of-range values fall back to the defaults with a warning on
-    /// stderr — never a panic.
+    /// The defaults with any `GMP_CACHE_CAPACITY` / `GMP_CACHE_PARANOID`
+    /// environment overrides applied. Unparsable or out-of-range values
+    /// fall back to the defaults with a warning on stderr — never a panic.
     pub fn from_env() -> Self {
         let (config, warnings) = CacheConfig::from_lookup(|key| std::env::var(key).ok());
         for w in &warnings {
@@ -105,19 +103,6 @@ impl CacheConfig {
             |raw| raw.parse::<usize>().ok().filter(|&cap| cap > 0),
             &mut warnings,
         );
-        config.quantum = gmp_sim::env_knob(
-            &lookup,
-            "GMP_CACHE_QUANTUM",
-            config.quantum,
-            "is not a positive finite number",
-            &format!("default {}", config.quantum),
-            |raw| {
-                raw.parse::<f64>()
-                    .ok()
-                    .filter(|&q| q.is_finite() && q > 0.0)
-            },
-            &mut warnings,
-        );
         // Any value but "0" enables paranoid mode — no malformed case, by
         // construction.
         if let Some(raw) = lookup("GMP_CACHE_PARANOID") {
@@ -133,21 +118,21 @@ pub struct CacheStats {
     /// Lookups served from a stored, fully verified entry.
     pub hits: u64,
     /// Lookups with no stored entry under the fingerprint: computed
-    /// fresh, then stored.
+    /// fresh, then stored if the cache has room.
     pub misses: u64,
     /// Lookups whose stored entry failed the exact validity check
     /// (liveness flip, hash collision, changed geometry): computed fresh,
-    /// entry replaced.
+    /// entry replaced in place where the cache allows it.
     pub fallbacks: u64,
-    /// Entries discarded by capacity epoch flushes.
+    /// Always 0: neither cache evicts, because a full cache stores
+    /// nothing new. Kept so report consumers keep their fields.
     pub evictions: u64,
-    /// Capacity epoch flushes performed (each discards every entry).
+    /// Always 0: there are no capacity flushes (see `evictions`).
     pub epoch_flushes: u64,
     /// Decisions currently stored — an occupancy snapshot taken by
-    /// [`TreeCache::stats`], not a running counter.
+    /// `stats()`, not a running counter.
     pub entries_live: u64,
-    /// Inserts that recycled a flushed entry (and its vectors) from the
-    /// free list instead of allocating a fresh one.
+    /// Always 0: with nothing evicted there are no entries to recycle.
     pub pool_reused: u64,
 }
 
@@ -248,21 +233,17 @@ fn alive_bit(alive: Option<&[bool]>, n: NodeId) -> bool {
 /// The cache owns no scratch of its own: results are always materialized
 /// into the caller's [`DecisionScratch`], so downstream code (the emit
 /// step, which mutates the grouping in place) is oblivious to whether the
-/// decision was computed or served.
+/// decision was computed or served. Once `config.capacity` decisions are
+/// stored, further misses are computed without being stored.
 #[derive(Debug, Clone)]
 pub struct TreeCache {
     config: CacheConfig,
-    /// `1 / quantum`, precomputed for the fingerprint loop.
-    inv_quantum: f64,
     /// Fingerprint → index into `entries`. On the (astronomically rare)
     /// fingerprint collision between distinct keys, the exact check
     /// rejects the resident entry and the loser recomputes + replaces —
     /// correct either way.
     map: HashMap<u64, u32, FingerprintBuild>,
     entries: Vec<CacheEntry>,
-    /// Flushed entries recycled on insert, so steady-state epochs reuse
-    /// their vectors instead of reallocating.
-    free: Vec<CacheEntry>,
     /// Group-vector pool for entry replacement (the scratch has its own).
     pool: Vec<Vec<NodeId>>,
     stats: CacheStats,
@@ -284,16 +265,10 @@ impl TreeCache {
     /// A cache with an explicit configuration.
     pub fn with_config(config: CacheConfig) -> Self {
         assert!(config.capacity > 0, "cache capacity must be positive");
-        assert!(
-            config.quantum.is_finite() && config.quantum > 0.0,
-            "cache quantum must be positive"
-        );
         TreeCache {
             config,
-            inv_quantum: 1.0 / config.quantum,
             map: HashMap::default(),
             entries: Vec::new(),
-            free: Vec::new(),
             pool: Vec::new(),
             stats: CacheStats::default(),
         }
@@ -304,8 +279,8 @@ impl TreeCache {
         self.config
     }
 
-    /// Behaviour counters since construction (flushes don't reset them),
-    /// with the live-occupancy snapshot filled in.
+    /// Behaviour counters since construction, with the live-occupancy
+    /// snapshot filled in.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             entries_live: self.entries.len() as u64,
@@ -325,8 +300,9 @@ impl TreeCache {
 
     /// [`DecisionScratch::group_destinations_into`] through the cache:
     /// serves a stored grouping when every exact input matches, computes
-    /// (and stores) it otherwise. The result always lives in `scratch`,
-    /// bit-identical to what the direct call would leave there.
+    /// it otherwise (storing it while the cache has room). The result
+    /// always lives in `scratch`, bit-identical to what the direct call
+    /// would leave there.
     #[allow(clippy::too_many_arguments)]
     pub fn group_destinations_cached<'a>(
         &mut self,
@@ -338,7 +314,7 @@ impl TreeCache {
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
     ) -> &'a Grouping {
-        let fp = self.fingerprint(topo, node, dests, radio_range_aware, perimeter_entry, alive);
+        let fp = fingerprint(topo, node, dests, radio_range_aware, perimeter_entry, alive);
         if let Some(&slot) = self.map.get(&fp) {
             let entry = &self.entries[slot as usize];
             if entry_matches(
@@ -409,70 +385,32 @@ impl TreeCache {
             perimeter_entry,
             alive,
         );
-        if self.entries.len() >= self.config.capacity {
-            // Epoch flush: deterministic, wholesale, and cheap — the
-            // entries (and their vectors) move to the free list for
-            // reuse. An LRU chain would save refills but put its
-            // bookkeeping on every lookup; the benches' working sets fit
-            // the default capacity comfortably (see DESIGN.md).
-            self.stats.evictions += self.entries.len() as u64;
-            self.stats.epoch_flushes += 1;
-            self.map.clear();
-            self.free.append(&mut self.entries);
+        if self.entries.len() < self.config.capacity {
+            let mut entry = CacheEntry::default();
+            fill_entry(
+                &mut entry,
+                &mut self.pool,
+                scratch.grouping_ref(),
+                topo,
+                node,
+                dests,
+                radio_range_aware,
+                perimeter_entry,
+                alive,
+            );
+            self.map.insert(fp, self.entries.len() as u32);
+            self.entries.push(entry);
         }
-        let mut entry = match self.free.pop() {
-            Some(recycled) => {
-                self.stats.pool_reused += 1;
-                recycled
-            }
-            None => CacheEntry::default(),
-        };
-        fill_entry(
-            &mut entry,
-            &mut self.pool,
-            scratch.grouping_ref(),
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        );
-        let slot = self.entries.len() as u32;
-        self.entries.push(entry);
-        self.map.insert(fp, slot);
         scratch.grouping_ref()
-    }
-
-    /// The lookup fingerprint (see [`fingerprint_with`]).
-    fn fingerprint(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        dests: &[NodeId],
-        radio_range_aware: bool,
-        perimeter_entry: Option<Point>,
-        alive: Option<&[bool]>,
-    ) -> u64 {
-        fingerprint_with(
-            self.inv_quantum,
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        )
     }
 }
 
-/// The lookup fingerprint: node id, flags, and *quantized* positions
-/// mixed into 64 bits. Only a probe — every served decision is
-/// re-verified against exact inputs. Shared by [`TreeCache`] and
+/// The lookup fingerprint: node id, flags, and exact position bits mixed
+/// into 64 bits. Only a probe — every served decision is re-verified
+/// against exact inputs. Shared by [`TreeCache`] and
 /// [`ConcurrentTreeCache`] so a private and a shared cache agree on
 /// which probe a decision lands under.
-fn fingerprint_with(
-    inv_quantum: f64,
+fn fingerprint(
     topo: &Topology,
     node: NodeId,
     dests: &[NodeId],
@@ -480,25 +418,24 @@ fn fingerprint_with(
     perimeter_entry: Option<Point>,
     alive: Option<&[bool]>,
 ) -> u64 {
-    let quant = |c: f64| (c * inv_quantum).round() as i64 as u64;
     let mut h = mix(0x9e37_79b9_7f4a_7c15, node.0 as u64);
     h = mix(h, radio_range_aware as u64);
     let here = topo.pos(node);
-    h = mix(h, quant(here.x));
-    h = mix(h, quant(here.y));
+    h = mix(h, here.x.to_bits());
+    h = mix(h, here.y.to_bits());
     match perimeter_entry {
         Some(e) => {
             h = mix(h, 1);
-            h = mix(h, quant(e.x));
-            h = mix(h, quant(e.y));
+            h = mix(h, e.x.to_bits());
+            h = mix(h, e.y.to_bits());
         }
         None => h = mix(h, 2),
     }
     for &d in dests {
         let p = topo.pos(d);
         h = mix(h, d.0 as u64);
-        h = mix(h, quant(p.x));
-        h = mix(h, quant(p.y));
+        h = mix(h, p.x.to_bits());
+        h = mix(h, p.y.to_bits());
     }
     // Normalized per-neighbor liveness, folded in as a running bit
     // string so dead-neighbor variants get their own probe.
@@ -634,15 +571,13 @@ struct PublishedEntry {
 /// zero allocations, regardless of worker count or interleaving. The
 /// `steady_alloc_drift` certificate in BENCH_5 measures exactly this.
 ///
-/// Capacity beyond `config.capacity.next_power_of_two()` is handled by
-/// *not storing*: if a window is full, the decision is recomputed each
-/// time (counted as a miss) rather than evicting — eviction under
-/// concurrency would need entry reclamation, and the bench working sets
-/// fit the default capacity comfortably.
+/// The table holds `config.capacity.next_power_of_two()` slots and
+/// follows the module's one fill rule: if a window is full, the decision
+/// is recomputed each time (counted as a miss) rather than evicting —
+/// eviction under concurrency would need entry reclamation.
 #[derive(Debug)]
 pub struct ConcurrentTreeCache {
     config: CacheConfig,
-    inv_quantum: f64,
     /// Bucket mask; `slots.len()` is a power of two `>= WAYS`.
     mask: usize,
     slots: Vec<OnceLock<Box<PublishedEntry>>>,
@@ -667,16 +602,11 @@ impl ConcurrentTreeCache {
     /// A shared cache with an explicit configuration.
     pub fn with_config(config: CacheConfig) -> Self {
         assert!(config.capacity > 0, "cache capacity must be positive");
-        assert!(
-            config.quantum.is_finite() && config.quantum > 0.0,
-            "cache quantum must be positive"
-        );
         let table = config.capacity.next_power_of_two().max(WAYS);
         let mut slots = Vec::with_capacity(table);
         slots.resize_with(table, OnceLock::new);
         ConcurrentTreeCache {
             config,
-            inv_quantum: 1.0 / config.quantum,
             mask: table - 1,
             slots,
             hits: AtomicU64::new(0),
@@ -728,15 +658,7 @@ impl ConcurrentTreeCache {
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
     ) -> &'a Grouping {
-        let fp = fingerprint_with(
-            self.inv_quantum,
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        );
+        let fp = fingerprint(topo, node, dests, radio_range_aware, perimeter_entry, alive);
         let base = fp as usize & self.mask;
         let mut stale = false;
         for way in 0..WAYS {
@@ -775,10 +697,11 @@ impl ConcurrentTreeCache {
                 }
                 return scratch.grouping_ref();
             }
-            // Same fingerprint, different exact inputs (collision after
-            // quantization). Immutable entries can't be replaced, so this
-            // probe recomputes; the corrected decision may still land in
-            // a later way of the window.
+            // Same fingerprint, different exact inputs (a hash collision,
+            // or a changed input the fingerprint omits). Immutable
+            // entries can't be replaced, so this probe recomputes; the
+            // corrected decision may still land in a later way of the
+            // window.
             stale = true;
         }
 
@@ -983,7 +906,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_flush_keeps_serving_correctly() {
+    fn full_cache_serves_residents_and_computes_the_rest() {
         let topo = topo();
         let mut cache = TreeCache::with_config(CacheConfig {
             capacity: 4,
@@ -1001,17 +924,18 @@ mod tests {
                 assert_eq!(got, expect, "round {round} seed {seed}");
             }
         }
-        assert!(cache.len() <= 4);
+        // The first four decisions filled the cache and are hits in every
+        // later round; the other six are computed each time without being
+        // stored, and nothing is ever evicted.
+        assert_eq!(cache.len(), 4);
         let stats = cache.stats();
-        assert!(stats.evictions > 0);
-        // Occupancy and flush accounting: every flush dropped a full
-        // capacity's worth of entries, the snapshot matches len(), and
-        // post-flush refills recycled pooled entries instead of
-        // allocating fresh ones.
-        assert!(stats.epoch_flushes > 0);
-        assert_eq!(stats.evictions, stats.epoch_flushes * 4);
-        assert_eq!(stats.entries_live, cache.len() as u64);
-        assert!(stats.pool_reused > 0);
+        assert_eq!(stats.hits, 2 * 4);
+        assert_eq!(stats.misses, 10 + 2 * 6);
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.entries_live, 4);
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.epoch_flushes, 0);
+        assert_eq!(stats.pool_reused, 0);
     }
 
     #[test]
@@ -1037,7 +961,6 @@ mod tests {
     fn env_defaults_are_sane() {
         let config = CacheConfig::from_env();
         assert!(config.capacity > 0);
-        assert!(config.quantum > 0.0);
     }
 
     /// A lookup table standing in for the process environment.
@@ -1060,31 +983,15 @@ mod tests {
             assert_eq!(warnings.len(), 1, "capacity {bad:?}");
             assert!(warnings[0].contains("GMP_CACHE_CAPACITY"), "{warnings:?}");
         }
-        for bad in ["banana", "0", "-1e-3", "NaN", "inf", ""] {
-            let (config, warnings) =
-                CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_QUANTUM", bad)]));
-            assert_eq!(config, defaults, "quantum {bad:?}");
-            assert_eq!(warnings.len(), 1, "quantum {bad:?}");
-            assert!(warnings[0].contains("GMP_CACHE_QUANTUM"), "{warnings:?}");
-        }
-        // Both malformed at once: both defaults survive, both warned.
-        let (config, warnings) = CacheConfig::from_lookup(lookup_from(&[
-            ("GMP_CACHE_CAPACITY", "lots"),
-            ("GMP_CACHE_QUANTUM", "tiny"),
-        ]));
-        assert_eq!(config, defaults);
-        assert_eq!(warnings.len(), 2);
     }
 
     #[test]
     fn valid_env_values_apply_without_warnings() {
         let (config, warnings) = CacheConfig::from_lookup(lookup_from(&[
             ("GMP_CACHE_CAPACITY", "1024"),
-            ("GMP_CACHE_QUANTUM", "0.5"),
             ("GMP_CACHE_PARANOID", "1"),
         ]));
         assert_eq!(config.capacity, 1024);
-        assert_eq!(config.quantum, 0.5);
         assert!(config.paranoid);
         assert!(warnings.is_empty());
     }

@@ -19,12 +19,12 @@
 //! * before traversing an edge that crosses the `face_entry`–`dest` line at
 //!   a point closer to `dest`, the packet moves to the adjacent face.
 
-use gmp_geom::point::ccw_sweep;
 use gmp_geom::{Point, Segment};
 
 use crate::node::NodeId;
 use crate::planar::PlanarKind;
 use crate::topology::Topology;
+use crate::traversal::{first_turn, FaceDir};
 
 /// Why perimeter forwarding could not produce a next hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,8 +123,8 @@ pub fn perimeter_next_hop(
     // itself must be taken last (sweep 0 treated as a full turn).
     let zero_is_full_turn = state.prev.is_some();
 
-    let mut candidate =
-        first_ccw(topo, x, neighbors, ref_dir, zero_is_full_turn).ok_or(FaceRoutingError::Stuck)?;
+    let mut candidate = first_turn(topo, x, neighbors, ref_dir, FaceDir::Ccw, zero_is_full_turn)
+        .ok_or(FaceRoutingError::Stuck)?;
 
     // Face changes: while the chosen edge crosses the face_entry–dest line
     // at a point closer to the destination, hop to the adjacent face by
@@ -138,7 +138,7 @@ pub fn perimeter_next_hop(
                     state.face_entry = i;
                     state.first_edge = None;
                     let new_ref = topo.pos(candidate) - x;
-                    candidate = first_ccw(topo, x, neighbors, new_ref, true)
+                    candidate = first_turn(topo, x, neighbors, new_ref, FaceDir::Ccw, true)
                         .ok_or(FaceRoutingError::Stuck)?;
                     continue;
                 }
@@ -157,34 +157,19 @@ pub fn perimeter_next_hop(
     Ok(candidate)
 }
 
-/// The neighbor whose edge is first counterclockwise from `ref_dir`.
-///
-/// With `zero_is_full_turn`, a neighbor exactly along `ref_dir` (the node
-/// we arrived from) sorts last, producing the bounce-back-on-dead-end
-/// behaviour of the right-hand rule.
-fn first_ccw(
-    topo: &Topology,
-    x: Point,
-    neighbors: &[NodeId],
-    ref_dir: gmp_geom::Vec2,
-    zero_is_full_turn: bool,
-) -> Option<NodeId> {
-    let mut best: Option<(f64, NodeId)> = None;
-    for &n in neighbors {
-        let d = topo.pos(n) - x;
-        if d.norm_sq() <= gmp_geom::EPS * gmp_geom::EPS {
-            continue; // co-located neighbor: skip
-        }
-        let mut sweep = ccw_sweep(ref_dir, d);
-        if zero_is_full_turn && sweep <= 1e-12 {
-            sweep = std::f64::consts::TAU;
-        }
-        match best {
-            Some((s, _)) if s <= sweep => {}
-            _ => best = Some((sweep, n)),
-        }
-    }
-    best.map(|(_, n)| n)
+/// The neighbor of `node` strictly closer to `target` than `node` itself,
+/// minimizing the remaining distance (plain greedy geographic forwarding).
+pub fn greedy_next_hop(topo: &Topology, node: NodeId, target: Point) -> Option<NodeId> {
+    let own = topo.pos(node).dist_sq(target);
+    topo.neighbors(node)
+        .iter()
+        .copied()
+        .filter(|&n| topo.pos(n).dist_sq(target) < own)
+        .min_by(|&a, &b| {
+            topo.pos(a)
+                .dist_sq(target)
+                .total_cmp(&topo.pos(b).dist_sq(target))
+        })
 }
 
 /// Outcome of a full GPSR unicast route computation.
@@ -254,21 +239,10 @@ pub fn gpsr_route(
             }
         }
         let next = if perimeter.is_none() {
-            let here = topo.pos(current);
-            let greedy = topo
-                .neighbors(current)
-                .iter()
-                .copied()
-                .filter(|&n| topo.pos(n).dist_sq(target) < here.dist_sq(target))
-                .min_by(|&a, &b| {
-                    topo.pos(a)
-                        .dist_sq(target)
-                        .total_cmp(&topo.pos(b).dist_sq(target))
-                });
-            match greedy {
+            match greedy_next_hop(topo, current, target) {
                 Some(n) => n,
                 None => {
-                    let mut state = PerimeterState::enter(here, target);
+                    let mut state = PerimeterState::enter(topo.pos(current), target);
                     match perimeter_next_hop(topo, kind, current, &mut state) {
                         Ok(n) => {
                             perimeter = Some(state);

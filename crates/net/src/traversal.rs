@@ -35,7 +35,7 @@
 use gmp_geom::point::ccw_sweep;
 use gmp_geom::{Point, Segment, Vec2};
 
-use crate::face::{FaceRoutingError, RouteOutcome};
+use crate::face::{greedy_next_hop, FaceRoutingError, RouteOutcome};
 use crate::node::NodeId;
 use crate::planar::{live_planar_neighbors_into, PlanarKind};
 use crate::topology::Topology;
@@ -277,10 +277,12 @@ impl FaceWalk {
 }
 
 /// The neighbor whose edge is first in `dir`'s turning order from
-/// `ref_dir`. The [`FaceDir::Ccw`] case matches `face::first_ccw`; the
-/// clockwise case mirrors the sweep. With `zero_is_full_turn`, a neighbor
-/// exactly along `ref_dir` (the arrival edge) sorts last.
-fn first_turn(
+/// `ref_dir`: the one face-turn primitive behind both GPSR's right-hand
+/// rule ([`FaceDir::Ccw`], in [`crate::face::perimeter_next_hop`]) and
+/// FACE-1. The clockwise case mirrors the sweep. With `zero_is_full_turn`,
+/// a neighbor exactly along `ref_dir` (the arrival edge) sorts last,
+/// producing the bounce-back-on-dead-end behaviour of the right-hand rule.
+pub(crate) fn first_turn(
     topo: &Topology,
     x: Point,
     neighbors: &[NodeId],
@@ -357,31 +359,18 @@ pub fn gfg_route(
             }
         }
         let next = match &mut walk {
-            None => {
-                let greedy = topo
-                    .neighbors(current)
-                    .iter()
-                    .copied()
-                    .filter(|&n| topo.pos(n).dist_sq(target) < here.dist_sq(target))
-                    .min_by(|&a, &b| {
-                        topo.pos(a)
-                            .dist_sq(target)
-                            .total_cmp(&topo.pos(b).dist_sq(target))
-                    });
-                match greedy {
-                    Some(n) => n,
-                    None => {
-                        match FaceWalk::begin(topo, kind, None, dir, current, target, &mut scratch)
-                        {
-                            Some((n, w)) => {
-                                walk = Some(w);
-                                n
-                            }
-                            None => return RouteOutcome::Unreachable(path),
+            None => match greedy_next_hop(topo, current, target) {
+                Some(n) => n,
+                None => {
+                    match FaceWalk::begin(topo, kind, None, dir, current, target, &mut scratch) {
+                        Some((n, w)) => {
+                            walk = Some(w);
+                            n
                         }
+                        None => return RouteOutcome::Unreachable(path),
                     }
                 }
-            }
+            },
             Some(w) => match w.next(topo, kind, None, dir, current, target, &mut scratch) {
                 Ok(n) => n,
                 Err(_) => return RouteOutcome::Unreachable(path),

@@ -114,9 +114,8 @@ impl EventQueue {
         Some((s.time, s.event))
     }
 
-    /// Timestamp of the earliest pending event, without popping it.
-    /// Lets the runner detect equal-time batches for the staged
-    /// decision pass.
+    /// Timestamp of the earliest pending event, without popping it: what
+    /// `Session::next_time` reports to the session engine's wheel.
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|s| s.time)
     }

@@ -16,21 +16,12 @@
 //! * **Reused buffers.** [`SimScratch`] owns the event queue, the collision
 //!   heap, the liveness/pending tables, and the forward buffer; a warmed
 //!   scratch runs whole tasks without allocating in the loop itself.
-//! * **Staged decision pass.** When the configuration draws no RNG between
-//!   a pop and its forwards (collisions off, zero jitter — the paper's
-//!   default), each batch of equal-time deliveries is split into a
-//!   fault-filter pass (liveness checks, loss draws — everything that
-//!   touches the RNG or the fault state, in pop order) and a decision pass
-//!   that replays the batch in the same pop order doing the delivery
-//!   bookkeeping, routing decisions, and dispatch back-to-back. The
-//!   decision pass runs the protocol's Steiner-tree machinery (and the
-//!   GMP decision cache) cache-warm instead of interleaved with fault
-//!   bookkeeping. Because the replay preserves pop order and the
-//!   precomputed verdicts depend only on state the decision pass never
-//!   mutates, every write lands in the seed's exact sequence.
 //!
-//! None of this changes any simulated outcome: reports are bit-identical
-//! to the seed's (see `crates/bench/tests/sim_parity.rs` and DESIGN.md).
+//! Every configuration runs the same per-event step ([`Session::step`]):
+//! pop one delivery, apply the fault and collision verdicts, then record,
+//! route and dispatch. None of this changes any simulated outcome:
+//! reports are bit-identical to the seed's (see
+//! `crates/bench/tests/sim_parity.rs` and DESIGN.md).
 
 use gmp_faults::{FailureCause, FaultScratch};
 use gmp_geom::Point;
@@ -153,9 +144,6 @@ pub struct SimScratch {
     drop_cause: Vec<FailureCause>,
     /// Compiled fault-plan state (timed events) and oracle buffers.
     faults: FaultScratch,
-    /// The staged decision pass's batch buffer: each equal-time delivery
-    /// with its precomputed fault verdict (`Some(cause)` = dropped).
-    staged: Vec<(NodeId, MulticastPacket, Option<FailureCause>)>,
 }
 
 impl SimScratch {
@@ -208,7 +196,7 @@ impl<'a> TaskRunner<'a> {
     ///
     /// Implemented as a [`Session`] driven to completion in place; the
     /// concurrent engine in `gmp-service` drives the same state machine
-    /// one event batch at a time, which is why its per-session reports
+    /// one event at a time, which is why its per-session reports
     /// stay bit-identical to this path.
     pub fn run_with_scratch(
         &self,
@@ -329,8 +317,7 @@ impl<'a> TaskRunner<'a> {
     }
 }
 
-/// One in-flight simulated multicast task, steppable one event batch at a
-/// time.
+/// One in-flight simulated multicast task, steppable one event at a time.
 ///
 /// [`TaskRunner::run_with_scratch`] is `begin` → `step` until done →
 /// `finish`; a concurrent engine (the `gmp-service` crate) interleaves the
@@ -354,7 +341,6 @@ pub struct Session<'a> {
     has_events: bool,
     has_duty: bool,
     has_churn: bool,
-    use_staged: bool,
     events_processed: usize,
     decisions: usize,
     done: bool,
@@ -390,13 +376,11 @@ impl<'a> Session<'a> {
             forwards,
             drop_cause,
             faults,
-            staged,
         } = &mut scratch;
         queue.reset();
         on_air.clear();
         deliveries.clear();
         forwards.clear();
-        staged.clear();
 
         // Failure injection: sample the Bernoulli dead nodes (never the
         // source, so the task can at least start), then apply the fault
@@ -456,12 +440,6 @@ impl<'a> Session<'a> {
             drop_cause,
         );
 
-        // The staged pass applies when nothing between a pop and its
-        // forwards draws RNG: collisions off (no backoff draws, no on-air
-        // bookkeeping) and zero jitter (no send-time draws). The paper's
-        // default configuration qualifies; collision/jitter runs take the
-        // interleaved step, which handles retransmission.
-        let use_staged = !config.collisions && config.tx_jitter_s == 0.0;
         Session {
             topo,
             config,
@@ -473,29 +451,11 @@ impl<'a> Session<'a> {
             has_events,
             has_duty,
             has_churn,
-            use_staged,
             events_processed: 0,
             // The initial packet was one routing decision.
             decisions: 1,
             done: false,
         }
-    }
-
-    /// Advances the session by one unit of simulated work — the entire
-    /// next equal-time event batch in staged mode (collisions off, zero
-    /// jitter: the paper's default), or a single event otherwise — and
-    /// returns `true` once no work remains (then call
-    /// [`Session::finish`]).
-    pub fn step(&mut self, protocol: &mut dyn Protocol) -> bool {
-        if self.done {
-            return true;
-        }
-        if self.use_staged {
-            self.step_staged(protocol);
-        } else {
-            self.step_interleaved(protocol);
-        }
-        self.done
     }
 
     /// Task-local simulated time of the next pending event; `None` when
@@ -563,23 +523,14 @@ impl<'a> Session<'a> {
         (self.report, self.scratch)
     }
 
-    /// One equal-time batch of the staged two-phase pass.
-    ///
-    /// Phase A pops the whole equal-time batch, doing exactly the work
-    /// whose order is pinned to pop order — the event budget, fault-state
-    /// advancement, and the liveness/loss verdicts (including their RNG
-    /// draws). Phase B replays the batch in that same pop order, doing
-    /// everything else: delivery bookkeeping, the routing decision,
-    /// dispatch. The verdicts read only state phase B never touches
-    /// (`alive`, the fault tables, the RNG), so splitting the loop
-    /// reorders no write — it only groups the protocol's Steiner-tree
-    /// work into one cache-warm run per batch.
-    ///
-    /// Batching is sound because every phase-B forward arrives strictly
-    /// later than the batch time (airtime > 0, jitter 0): the batch is
-    /// precisely the set of events the interleaved loop would pop before
-    /// any event it schedules.
-    fn step_staged(&mut self, protocol: &mut dyn Protocol) {
+    /// Advances the session by one event — fault verdicts, the collision
+    /// model, delivery bookkeeping, the routing decision and its dispatch —
+    /// and returns `true` once no work remains (then call
+    /// [`Session::finish`]).
+    pub fn step(&mut self, protocol: &mut dyn Protocol) -> bool {
+        if self.done {
+            return true;
+        }
         let Session {
             topo,
             config,
@@ -611,136 +562,17 @@ impl<'a> Session<'a> {
             forwards,
             drop_cause,
             faults,
-            staged,
-        } = scratch;
-
-        let Some((time, first)) = queue.pop() else {
-            *done = true;
-            return;
-        };
-        let mut event = first;
-        loop {
-            *events_processed += 1;
-            if *events_processed > config.max_events {
-                // The tripping event is discarded unprocessed — the
-                // interleaved loop breaks at the same point, with the
-                // rest of the batch already dispatched.
-                report.truncated = true;
-                break;
-            }
-            let Event::Deliver {
-                to, from, packet, ..
-            } = event;
-            if has_events {
-                faults.advance_to(time, source, alive);
-            }
-            // A dead receiver and a sleeping receiver drop with the same
-            // cause by design; keep the branches in the interleaved
-            // loop's exact order.
-            #[allow(clippy::if_same_then_else)]
-            let verdict = if !alive[to.index()] {
-                Some(FailureCause::DeadNode)
-            } else if has_duty && to != source && faults.node_asleep(to, time) {
-                Some(FailureCause::DeadNode)
-            } else if has_churn && faults.link_severed(from, to, time) {
-                Some(FailureCause::LinkDown)
-            } else if plan.transmission_lost(rng) {
-                Some(FailureCause::LinkLoss)
-            } else {
-                None
-            };
-            staged.push((to, packet, verdict));
-            // Bitwise time equality: ±0.0 (ordered by `total_cmp` in the
-            // heap) must not be merged into one batch.
-            match queue.peek_time() {
-                Some(t) if t.to_bits() == time.to_bits() => {
-                    event = queue.pop().expect("peeked").1;
-                }
-                _ => break,
-            }
-        }
-        for (to, mut packet, verdict) in staged.drain(..) {
-            if let Some(cause) = verdict {
-                report.dropped_packets += 1;
-                record_drop(&packet.dests, pending, drop_cause, cause);
-                continue;
-            }
-            // Record delivery and strip the receiving node.
-            if packet.dests.contains(&to) {
-                packet.dests.retain(|&d| d != to);
-                if pending[to.index()] {
-                    pending[to.index()] = false;
-                    *pending_count -= 1;
-                    deliveries.push((to, packet.hops, time));
-                    report.completion_time_s = report.completion_time_s.max(time);
-                }
-            }
-            if packet.dests.is_empty() {
-                continue;
-            }
-            let ctx = NodeContext {
-                topo,
-                node: to,
-                config,
-                alive: has_events.then_some(alive.as_slice()),
-            };
-            *decisions += 1;
-            protocol.on_packet(&ctx, packet, forwards);
-            runner.transmit_jittered(
-                to, forwards, queue, report, energy, positions, on_air, rng, pending, drop_cause,
-            );
-        }
-        if report.truncated {
-            *done = true;
-        }
-    }
-
-    /// One event of the interleaved loop (collision model and/or jitter
-    /// active).
-    fn step_interleaved(&mut self, protocol: &mut dyn Protocol) {
-        let Session {
-            topo,
-            config,
-            scratch,
-            report,
-            energy,
-            rng,
-            source,
-            has_events,
-            has_duty,
-            has_churn,
-            events_processed,
-            decisions,
-            done,
-            ..
-        } = self;
-        let (topo, config, source) = (*topo, *config, *source);
-        let (has_events, has_duty, has_churn) = (*has_events, *has_duty, *has_churn);
-        let runner = TaskRunner { topo, config };
-        let positions = topo.positions_ref();
-        let plan = &config.faults;
-        let SimScratch {
-            queue,
-            on_air,
-            alive,
-            pending,
-            pending_count,
-            deliveries,
-            forwards,
-            drop_cause,
-            faults,
-            staged: _,
         } = scratch;
 
         let Some((time, event)) = queue.pop() else {
             *done = true;
-            return;
+            return true;
         };
         *events_processed += 1;
         if *events_processed > config.max_events {
             report.truncated = true;
             *done = true;
-            return;
+            return true;
         }
         let Event::Deliver {
             to,
@@ -755,7 +587,7 @@ impl<'a> Session<'a> {
         if !alive[to.index()] {
             report.dropped_packets += 1;
             record_drop(&packet.dests, pending, drop_cause, FailureCause::DeadNode);
-            return;
+            return false;
         }
         // Duty-cycle sleep: a sleeping receiver misses the copy just
         // like a dead one, but wakes up again (and the oracle never
@@ -763,20 +595,20 @@ impl<'a> Session<'a> {
         if has_duty && to != source && faults.node_asleep(to, time) {
             report.dropped_packets += 1;
             record_drop(&packet.dests, pending, drop_cause, FailureCause::DeadNode);
-            return;
+            return false;
         }
         // Link churn: the link was severed while the copy was on it.
         if has_churn && faults.link_severed(from, to, time) {
             report.dropped_packets += 1;
             record_drop(&packet.dests, pending, drop_cause, FailureCause::LinkDown);
-            return;
+            return false;
         }
         // Link-loss injection: the transmission was made (and paid
         // for) but the copy never arrives.
         if plan.transmission_lost(rng) {
             report.dropped_packets += 1;
             record_drop(&packet.dests, pending, drop_cause, FailureCause::LinkLoss);
-            return;
+            return false;
         }
         // Collision model: the copy is destroyed if any other audible
         // node (or the half-duplex receiver itself) transmitted during
@@ -816,7 +648,7 @@ impl<'a> Session<'a> {
                     report.dropped_packets += 1;
                     record_drop(&packet.dests, pending, drop_cause, FailureCause::Collision);
                 }
-                return;
+                return false;
             }
         }
         // Record delivery and strip the receiving node.
@@ -830,7 +662,7 @@ impl<'a> Session<'a> {
             }
         }
         if packet.dests.is_empty() {
-            return;
+            return false;
         }
         let ctx = NodeContext {
             topo,
@@ -843,6 +675,7 @@ impl<'a> Session<'a> {
         runner.transmit_jittered(
             to, forwards, queue, report, energy, positions, on_air, rng, pending, drop_cause,
         );
+        false
     }
 }
 
@@ -1337,10 +1170,13 @@ mod tests {
     #[test]
     fn manually_stepped_session_matches_one_shot_run() {
         // Drive a Session by hand — begin / step-until-done / finish —
-        // across staged (paper default) and interleaved (collisions)
-        // configurations; the report must be bit-identical to
-        // run_with_scratch, and next_time() must be non-decreasing.
+        // across the paper default, collisions, link loss, and a timed
+        // crash that fires at the instant the source's two copies arrive
+        // (equal-time events advance the fault state); the report must be
+        // bit-identical to run_with_scratch, and next_time() must be
+        // non-decreasing.
         let topo = line_topology(7);
+        let airtime = 128.0 * 8.0 / 1_000_000.0;
         let configs = [
             line_config(),
             line_config()
@@ -1348,6 +1184,7 @@ mod tests {
                 .with_tx_jitter(0.002)
                 .with_retransmissions(3),
             line_config().with_link_loss_prob(0.3),
+            line_config().with_faults(gmp_faults::FaultPlan::none().with_crash(NodeId(5), airtime)),
         ];
         let task = MulticastTask::new(NodeId(3), vec![NodeId(0), NodeId(6)]);
         for config in &configs {
