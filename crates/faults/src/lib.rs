@@ -13,10 +13,11 @@
 //!   (cached), advances node liveness as simulated time passes, and
 //!   answers per-delivery queries from the event loop.
 //! - The **oracle** ([`FaultScratch::classify_failures`]) — after a task,
-//!   computes ground-truth reachability on the faulted connectivity graph
-//!   and classifies every failed destination as *justified* (the graph
-//!   itself was disconnected) or a *protocol failure* (reachable but
-//!   undelivered), with the proximate [`FailureCause`] attached.
+//!   classifies every failed destination as *justified* (dead, or the
+//!   faulted connectivity graph itself was disconnected) or a *protocol
+//!   failure* (reachable but undelivered), with the proximate
+//!   [`FailureCause`] attached. It searches the graph only as far as the
+//!   live failed destinations need.
 //!
 //! Everything is deterministic: a plan never consumes simulator RNG draws
 //! beyond the two legacy Bernoulli streams, and timed events are compiled

@@ -286,94 +286,6 @@ impl FaultPlan {
     pub fn transmission_lost<R: Rng>(&self, rng: &mut R) -> bool {
         self.link_loss_prob > 0.0 && rng.gen::<f64>() < self.link_loss_prob
     }
-
-    /// A structural fingerprint (FNV-1a over every field's bits), used to
-    /// key the compiled-plan cache. Plans with equal fingerprints compile
-    /// identically against the same topology.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.word(self.node_failure_prob.to_bits());
-        h.word(self.link_loss_prob.to_bits());
-        h.word(self.events.len() as u64);
-        for ev in &self.events {
-            match *ev {
-                FaultEvent::Crash { node, at_s } => {
-                    h.word(1);
-                    h.word(node.0 as u64);
-                    h.word(at_s.to_bits());
-                }
-                FaultEvent::Blackout {
-                    region,
-                    start_s,
-                    end_s,
-                } => {
-                    h.word(2);
-                    match region {
-                        FaultRegion::Disk { center, radius } => {
-                            h.word(21);
-                            h.word(center.x.to_bits());
-                            h.word(center.y.to_bits());
-                            h.word(radius.to_bits());
-                        }
-                        FaultRegion::Rect { min, max } => {
-                            h.word(22);
-                            h.word(min.x.to_bits());
-                            h.word(min.y.to_bits());
-                            h.word(max.x.to_bits());
-                            h.word(max.y.to_bits());
-                        }
-                    }
-                    h.word(start_s.to_bits());
-                    h.word(end_s.to_bits());
-                }
-                FaultEvent::DutyCycle {
-                    period_s,
-                    on_fraction,
-                } => {
-                    h.word(3);
-                    h.word(period_s.to_bits());
-                    h.word(on_fraction.to_bits());
-                }
-                FaultEvent::LinkChurn {
-                    start_s,
-                    end_s,
-                    speed_mps,
-                    pause_s,
-                    seed,
-                } => {
-                    h.word(4);
-                    h.word(start_s.to_bits());
-                    h.word(end_s.to_bits());
-                    h.word(speed_mps.0.to_bits());
-                    h.word(speed_mps.1.to_bits());
-                    h.word(pause_s.0.to_bits());
-                    h.word(pause_s.1.to_bits());
-                    h.word(seed);
-                }
-            }
-        }
-        h.finish()
-    }
-}
-
-/// Minimal FNV-1a over u64 words.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -432,21 +344,6 @@ mod tests {
         assert_eq!(nodes.len(), 20, "crashes are distinct");
         assert_eq!(plan, FaultPlan::random_crashes(100, 0.2, 0.0, 9));
         assert_ne!(plan, FaultPlan::random_crashes(100, 0.2, 0.0, 10));
-    }
-
-    #[test]
-    fn fingerprint_separates_plans() {
-        let a = FaultPlan::none().with_crash(NodeId(1), 2.0);
-        let b = FaultPlan::none().with_crash(NodeId(1), 3.0);
-        let c = FaultPlan::none().with_crash(NodeId(2), 2.0);
-        assert_eq!(a.fingerprint(), a.clone().fingerprint());
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_ne!(a.fingerprint(), FaultPlan::none().fingerprint());
-        assert_ne!(
-            FaultPlan::none().with_node_failure_prob(0.1).fingerprint(),
-            FaultPlan::none().with_link_loss_prob(0.1).fingerprint()
-        );
     }
 
     #[test]

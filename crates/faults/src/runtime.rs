@@ -5,7 +5,7 @@ use gmp_net::mobility::RandomWaypoint;
 use gmp_net::{NodeId, Topology};
 
 use crate::cause::{FailedDest, FailureCause};
-use crate::plan::{FaultEvent, FaultPlan, FaultRegion, Fnv};
+use crate::plan::{FaultEvent, FaultPlan, FaultRegion};
 
 /// A liveness flip compiled from a crash or blackout edge.
 #[derive(Debug, Clone, Copy)]
@@ -201,35 +201,32 @@ impl CompiledPlan {
     }
 }
 
-/// A structural fingerprint of the topology, pairing with
-/// [`FaultPlan::fingerprint`] to key the compiled-plan cache.
-fn topology_token(topo: &Topology) -> u64 {
-    let mut h = Fnv::new();
-    h.word(topo.len() as u64);
-    h.word(topo.radio_range().to_bits());
-    for p in topo.positions_ref() {
-        h.word(p.x.to_bits());
-        h.word(p.y.to_bits());
-    }
-    h.finish()
-}
-
-/// Reusable per-task fault state: owns the compiled plan (cached across
-/// tasks keyed by plan + topology fingerprints), walks the liveness
-/// timeline as simulated time advances, and runs the post-task oracle.
+/// Reusable per-task fault state: owns the compiled plan, walks the
+/// liveness timeline as simulated time advances, and runs the post-task
+/// oracle.
+///
+/// The compiled plan is reused for as long as tasks bring an equal plan
+/// against the same deployment: the plan is compared by value against a
+/// retained copy and the topology by its once-computed
+/// [`Topology::fingerprint`], so recognising a compiled pair hashes
+/// nothing.
 ///
 /// The runner embeds one of these in its `SimScratch`; all methods are
 /// allocation-free after the first task against a given plan/topology.
 #[derive(Debug, Default)]
 pub struct FaultScratch {
     compiled: CompiledPlan,
-    cache_key: Option<(u64, u64)>,
+    /// The plan `compiled` was built from.
+    compiled_plan: FaultPlan,
+    /// Fingerprint of the topology `compiled` was built against; `None`
+    /// until the first compile.
+    compiled_topo: Option<u64>,
     /// Next transition to apply (index into `compiled.transitions`).
     cursor: usize,
     /// Nodes killed by the Bernoulli sample this task — an "up"
     /// transition must not resurrect them.
     bern_dead: Vec<bool>,
-    /// Oracle BFS state.
+    /// Oracle search state.
     reach: Vec<bool>,
     stack: Vec<u32>,
 }
@@ -241,9 +238,13 @@ impl FaultScratch {
     }
 
     /// Prepares the timeline for one task: compiles `plan` against
-    /// `topo` (cached), snapshots the Bernoulli deaths already applied to
-    /// `alive`, and applies the `t = 0` fault state. The task `source` is
-    /// exempt from node faults.
+    /// `topo` unless the last compile was of an equal plan against a
+    /// topology with the same fingerprint, snapshots the Bernoulli deaths
+    /// already applied to `alive`, and applies the `t = 0` fault state.
+    /// The task `source` is exempt from node faults.
+    ///
+    /// A plan holding a NaN never equals its copy, so it recompiles on
+    /// every task — slower, never wrong.
     ///
     /// Only meaningful when `plan.has_events()`; the runner skips the
     /// call (and every other timeline query) otherwise.
@@ -254,10 +255,11 @@ impl FaultScratch {
         source: NodeId,
         alive: &mut [bool],
     ) {
-        let key = (plan.fingerprint(), topology_token(topo));
-        if self.cache_key != Some(key) {
+        let topo_key = topo.fingerprint();
+        if self.compiled_topo != Some(topo_key) || self.compiled_plan != *plan {
             self.compiled.compile(plan, topo);
-            self.cache_key = Some(key);
+            self.compiled_plan.clone_from(plan);
+            self.compiled_topo = Some(topo_key);
         }
         self.cursor = 0;
         self.bern_dead.clear();
@@ -315,10 +317,10 @@ impl FaultScratch {
 
     /// The delivery-guarantee oracle.
     ///
-    /// Computes ground-truth reachability from `source` on the faulted
-    /// connectivity graph — nodes that were ever down (Bernoulli, crash,
-    /// or blackout) and links ever severed by churn are removed — and
-    /// classifies every still-`pending` destination:
+    /// Classifies every still-`pending` destination against ground-truth
+    /// reachability from `source` on the faulted connectivity graph —
+    /// nodes that were ever down (Bernoulli, crash, or blackout) and links
+    /// ever severed by churn are removed:
     ///
     /// - dead destination → [`FailureCause::DestDead`] (justified);
     /// - unreachable destination → [`FailureCause::Disconnected`]
@@ -327,6 +329,12 @@ impl FaultScratch {
     ///   recorded in `drop_cause` (a **protocol failure**), upgraded to
     ///   [`FailureCause::Truncated`] when the run hit the event cap and
     ///   no drop was recorded.
+    ///
+    /// Only live pending destinations other than the source (which is
+    /// reached from the start) read reachability, so the search runs
+    /// only while some of them remain unreached and stops at the last
+    /// one. A task whose failures are all dead nodes searches nothing;
+    /// the cost follows the pending destinations, not the network.
     ///
     /// The graph excision is pessimistic (a node down for *any* part of
     /// the run is removed for the whole run), so a `Disconnected` verdict
@@ -348,7 +356,6 @@ impl FaultScratch {
         truncated: bool,
         out: &mut Vec<FailedDest>,
     ) {
-        let n = topo.len();
         let node_down = |i: usize| {
             if has_events {
                 self.bern_dead[i] || self.compiled.ever_down[i]
@@ -356,30 +363,41 @@ impl FaultScratch {
                 !alive[i]
             }
         };
-        let check_links = has_events && !self.compiled.ever_severed.is_empty();
+        let mut unreached = (0..pending.len())
+            .filter(|&i| pending[i] && i != source.index() && !node_down(i))
+            .count();
 
-        self.reach.clear();
-        self.reach.resize(n, false);
-        self.stack.clear();
-        self.reach[source.index()] = true;
-        self.stack.push(source.0);
-        while let Some(u) = self.stack.pop() {
-            let u_id = NodeId(u);
-            for &v in topo.neighbors(u_id) {
-                if self.reach[v.index()] || node_down(v.index()) {
-                    continue;
+        if unreached > 0 {
+            let check_links = has_events && !self.compiled.ever_severed.is_empty();
+            self.reach.clear();
+            self.reach.resize(topo.len(), false);
+            self.stack.clear();
+            self.reach[source.index()] = true;
+            self.stack.push(source.0);
+            'search: while let Some(u) = self.stack.pop() {
+                let u_id = NodeId(u);
+                for &v in topo.neighbors(u_id) {
+                    if self.reach[v.index()] || node_down(v.index()) {
+                        continue;
+                    }
+                    if check_links
+                        && self
+                            .compiled
+                            .ever_severed
+                            .binary_search(&link_key(u_id, v))
+                            .is_ok()
+                    {
+                        continue;
+                    }
+                    self.reach[v.index()] = true;
+                    if pending[v.index()] {
+                        unreached -= 1;
+                        if unreached == 0 {
+                            break 'search;
+                        }
+                    }
+                    self.stack.push(v.0);
                 }
-                if check_links
-                    && self
-                        .compiled
-                        .ever_severed
-                        .binary_search(&link_key(u_id, v))
-                        .is_ok()
-                {
-                    continue;
-                }
-                self.reach[v.index()] = true;
-                self.stack.push(v.0);
             }
         }
 
@@ -387,9 +405,11 @@ impl FaultScratch {
             if !p {
                 continue;
             }
+            // Only the destinations counted above read `reach`; it is
+            // stale or empty when no search ran.
             let cause = if node_down(i) {
                 FailureCause::DestDead
-            } else if !self.reach[i] {
+            } else if i != source.index() && !self.reach[i] {
                 FailureCause::Disconnected
             } else if truncated && drop_cause[i] == FailureCause::NoRoute {
                 FailureCause::Truncated
@@ -573,21 +593,105 @@ mod tests {
     }
 
     #[test]
+    fn oracle_searches_only_for_live_pending_destinations() {
+        let topo = line_with_island();
+        let mut scratch = FaultScratch::new();
+        // Every failure is a dead node (the source's own entry reads no
+        // reachability either): no search at all.
+        let alive = vec![true, false, true, false, true];
+        let pending = vec![true, true, false, true, false];
+        let out = classify(&mut scratch, &topo, false, &alive, &pending, false);
+        assert_eq!(
+            out,
+            vec![
+                FailedDest::new(NodeId(0), FailureCause::NoRoute),
+                FailedDest::new(NodeId(1), FailureCause::DestDead),
+                FailedDest::new(NodeId(3), FailureCause::DestDead),
+            ]
+        );
+        assert!(scratch.reach.is_empty(), "no live pending dest, no search");
+        // The search stops at the last live pending destination.
+        let alive = vec![true; 5];
+        let pending = vec![false, true, false, false, false];
+        let out = classify(&mut scratch, &topo, false, &alive, &pending, false);
+        assert_eq!(out, vec![FailedDest::new(NodeId(1), FailureCause::NoRoute)]);
+        assert!(scratch.reach[1]);
+        assert!(!scratch.reach[2], "nothing searched past node 1");
+    }
+
+    /// Marks the scratch's compiled plan with a sleep schedule no plan in
+    /// these tests has, so a recompile is visible as the mark vanishing.
+    fn mark_compiled(scratch: &mut FaultScratch) {
+        scratch.compiled.duty.push(Duty {
+            period_s: 1.0,
+            on_s: 0.5,
+        });
+    }
+
+    #[test]
     fn compiled_plan_is_cached_across_tasks() {
         let topo = line_with_island();
         let plan = FaultPlan::none().with_crash(NodeId(2), 1.0);
         let mut scratch = FaultScratch::new();
         let mut alive = vec![true; 5];
         scratch.begin_task(&plan, &topo, NodeId(0), &mut alive);
-        let key = scratch.cache_key;
+        mark_compiled(&mut scratch);
         scratch.advance_to(5.0, NodeId(0), &mut alive);
         alive.iter_mut().for_each(|a| *a = true);
         scratch.begin_task(&plan, &topo, NodeId(0), &mut alive);
-        assert_eq!(scratch.cache_key, key);
+        assert!(scratch.has_duty(), "same plan reuses the compiled plan");
         assert_eq!(scratch.cursor, 0, "timeline rewinds per task");
+        let rebuilt = FaultPlan::none().with_crash(NodeId(2), 1.0);
+        scratch.begin_task(&rebuilt, &line_with_island(), NodeId(0), &mut alive);
+        assert!(
+            scratch.has_duty(),
+            "an equal plan on an equal topology, both built separately, reuses it"
+        );
         let other = plan.clone().with_crash(NodeId(3), 2.0);
         scratch.begin_task(&other, &topo, NodeId(0), &mut alive);
-        assert_ne!(scratch.cache_key, key, "different plan recompiles");
+        assert!(!scratch.has_duty(), "different plan recompiles");
+        mark_compiled(&mut scratch);
+        let moved = Topology::from_positions(topo.positions(), Aabb::square(3000.0), 160.0);
+        scratch.begin_task(&other, &moved, NodeId(0), &mut alive);
+        assert!(!scratch.has_duty(), "different topology recompiles");
+    }
+
+    /// Every directed link of `topo` that `scratch` reports severed at `now`.
+    fn severed_at(scratch: &FaultScratch, topo: &Topology, now: f64) -> Vec<(NodeId, NodeId)> {
+        (0..topo.len())
+            .flat_map(|u| {
+                let u_id = NodeId(u as u32);
+                topo.neighbors(u_id)
+                    .iter()
+                    .filter(move |&&v| scratch.link_severed(u_id, v, now))
+                    .map(move |&v| (u_id, v))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compiled_churn_follows_the_deployment_area() {
+        // Same nodes and range, different area: the churn walk runs over
+        // the area, so the two topologies sever different links and a
+        // reused scratch must not serve one's walk to the other.
+        let small = Topology::random(&gmp_net::TopologyConfig::new(500.0, 60, 150.0), 77);
+        let large = Topology::from_positions(small.positions(), Aabb::square(50_000.0), 150.0);
+        let plan = FaultPlan::none().with_link_churn(1.0, 30.0, (20.0, 40.0), (0.0, 0.5), 5);
+        let fresh = |topo: &Topology| {
+            let mut scratch = FaultScratch::new();
+            let mut alive = vec![true; topo.len()];
+            scratch.begin_task(&plan, topo, NodeId(0), &mut alive);
+            severed_at(&scratch, topo, 10.0)
+        };
+        let (expect_small, expect_large) = (fresh(&small), fresh(&large));
+        assert_ne!(expect_small, expect_large, "the area changes the walk");
+
+        let mut reused = FaultScratch::new();
+        let mut alive = vec![true; small.len()];
+        reused.begin_task(&plan, &small, NodeId(0), &mut alive);
+        assert_eq!(severed_at(&reused, &small, 10.0), expect_small);
+        reused.begin_task(&plan, &large, NodeId(0), &mut alive);
+        assert_eq!(severed_at(&reused, &large, 10.0), expect_large);
     }
 
     #[test]
@@ -599,16 +703,7 @@ mod tests {
         let mut alive = vec![true; topo.len()];
         scratch.begin_task(&plan, &topo, NodeId(0), &mut alive);
         assert!(scratch.has_churn());
-        let s = &scratch;
-        let severed: Vec<(NodeId, NodeId)> = (0..topo.len())
-            .flat_map(|u| {
-                let u_id = NodeId(u as u32);
-                topo.neighbors(u_id)
-                    .iter()
-                    .filter(move |&&v| s.link_severed(u_id, v, 10.0))
-                    .map(move |&v| (u_id, v))
-            })
-            .collect();
+        let severed = severed_at(&scratch, &topo, 10.0);
         assert!(!severed.is_empty(), "a 29 s churn episode breaks links");
         for &(u, v) in &severed {
             assert!(scratch.link_severed(v, u, 10.0), "severing is symmetric");

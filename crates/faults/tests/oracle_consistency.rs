@@ -8,13 +8,15 @@
 //! without touching the oracle's compiled state — and assert that a
 //! failure is *justified* exactly when the destination is genuinely dead
 //! or unreachable, for any topology, crash/blackout plan, Bernoulli
-//! sample, and recorded proximate cause.
+//! sample, recorded proximate cause, and pending set.
 
 use gmp_faults::{FailedDest, FailureCause, FaultEvent, FaultPlan, FaultRegion, FaultScratch};
 use gmp_geom::Point;
 use gmp_net::topology::TopologyConfig;
 use gmp_net::{NodeId, Topology};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The reference "ever down" set: Bernoulli deaths plus every node named
 /// by a crash (any time — the oracle is pessimistic) or covered by a
@@ -59,39 +61,74 @@ fn reference_reach(topo: &Topology, down: &[bool], source: NodeId) -> Vec<bool> 
     reach
 }
 
+/// A pending set drawn from `seed`. The oracle's search runs only for
+/// live pending destinations and stops at the last one, so the sets span
+/// every case: all nodes (the source included), a sparse sample, only
+/// down nodes (no search at all), only reachable nodes (the search stops
+/// at the last node it can reach), a single node, and none.
+fn draw_pending(down: &[bool], reach: &[bool], seed: u64) -> Vec<bool> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = down.len();
+    match seed % 6 {
+        0 => vec![true; n],
+        1 => (0..n).map(|_| rng.gen_bool(0.25)).collect(),
+        2 => down.iter().map(|&d| d && rng.gen_bool(0.5)).collect(),
+        3 => reach.to_vec(),
+        4 => {
+            let mut one = vec![false; n];
+            one[rng.gen_range(0..n)] = true;
+            one
+        }
+        _ => vec![false; n],
+    }
+}
+
 /// Runs one plan through `begin_task` → `advance_to(end)` →
-/// `classify_failures` with every non-source node pending, exactly as the
-/// task runner would at the end of a run.
+/// `classify_failures` for the `pending` set, exactly as the task runner
+/// would at the end of a run. The scratch first judges the complementary
+/// set, as a previous task would, so verdicts that leaned on stale search
+/// state would show.
 #[allow(clippy::too_many_arguments)]
 fn classify(
     topo: &Topology,
     plan: &FaultPlan,
     source: NodeId,
     bern_dead: &[bool],
+    pending: &[bool],
     drop_cause: &[FailureCause],
     truncated: bool,
 ) -> Vec<FailedDest> {
     let mut scratch = FaultScratch::new();
-    let mut alive: Vec<bool> = bern_dead.iter().map(|&d| !d).collect();
-    if plan.has_events() {
-        scratch.begin_task(plan, topo, source, &mut alive);
-        scratch.advance_to(1e9, source, &mut alive);
-    }
-    let pending: Vec<bool> = (0..topo.len())
-        .map(|i| NodeId(i as u32) != source)
-        .collect();
+    let complement: Vec<bool> = pending.iter().map(|&p| !p).collect();
     let mut out = Vec::new();
-    scratch.classify_failures(
-        topo,
-        source,
-        plan.has_events(),
-        &alive,
-        &pending,
-        drop_cause,
-        truncated,
-        &mut out,
-    );
+    for set in [&complement[..], pending] {
+        let mut alive: Vec<bool> = bern_dead.iter().map(|&d| !d).collect();
+        if plan.has_events() {
+            scratch.begin_task(plan, topo, source, &mut alive);
+            scratch.advance_to(1e9, source, &mut alive);
+        }
+        out.clear();
+        scratch.classify_failures(
+            topo,
+            source,
+            plan.has_events(),
+            &alive,
+            set,
+            drop_cause,
+            truncated,
+            &mut out,
+        );
+    }
     out
+}
+
+/// The pending destinations in ascending order: the oracle must return
+/// exactly one verdict for each, in this order.
+fn pending_dests(pending: &[bool]) -> Vec<NodeId> {
+    (0..pending.len())
+        .filter(|&i| pending[i])
+        .map(|i| NodeId(i as u32))
+        .collect()
 }
 
 /// The proximate causes the event loop can record for a drop.
@@ -120,6 +157,7 @@ proptest! {
         bern_seed in 0u64..1000,
         cause_seed in 0usize..1000,
         truncated in proptest::bool::ANY,
+        pending_seed in 0u64..1000,
     ) {
         let topo = Topology::random(&TopologyConfig::new(600.0, n, 150.0), topo_seed);
         let source = NodeId((topo_seed % n as u64) as u32);
@@ -151,16 +189,15 @@ proptest! {
             .map(|i| PROXIMATE[(i + cause_seed) % PROXIMATE.len()])
             .collect();
 
-        let out = classify(&topo, &plan, source, &bern_dead, &drop_cause, truncated);
-
         let down = reference_down(&topo, &plan, &bern_dead);
         let reach = reference_reach(&topo, &down, source);
+        let pending = draw_pending(&down, &reach, pending_seed);
+
+        let out = classify(&topo, &plan, source, &bern_dead, &pending, &drop_cause, truncated);
 
         // One verdict per pending destination, in ascending order.
-        prop_assert_eq!(out.len(), n - 1);
-        for w in out.windows(2) {
-            prop_assert!(w[0].dest < w[1].dest);
-        }
+        let judged: Vec<NodeId> = out.iter().map(|f| f.dest).collect();
+        prop_assert_eq!(judged, pending_dests(&pending));
 
         for f in &out {
             let i = f.dest.index();
@@ -200,6 +237,7 @@ proptest! {
         crash_frac in 0.0f64..0.3,
         churn_seed in 0u64..1000,
         truncated in proptest::bool::ANY,
+        pending_seed in 0u64..1000,
     ) {
         let topo = Topology::random(&TopologyConfig::new(500.0, n, 150.0), topo_seed);
         let source = NodeId((topo_seed % n as u64) as u32);
@@ -208,12 +246,14 @@ proptest! {
 
         let bern_dead = vec![false; n];
         let drop_cause = vec![FailureCause::NoRoute; n];
-        let out = classify(&topo, &plan, source, &bern_dead, &drop_cause, truncated);
-
         let down = reference_down(&topo, &plan, &bern_dead);
         let reach = reference_reach(&topo, &down, source);
+        let pending = draw_pending(&down, &reach, pending_seed);
 
-        prop_assert_eq!(out.len(), n - 1);
+        let out = classify(&topo, &plan, source, &bern_dead, &pending, &drop_cause, truncated);
+
+        let judged: Vec<NodeId> = out.iter().map(|f| f.dest).collect();
+        prop_assert_eq!(judged, pending_dests(&pending));
         for f in &out {
             let i = f.dest.index();
             prop_assert_eq!(f.cause == FailureCause::DestDead, down[i], "dest {i}");

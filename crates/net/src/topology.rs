@@ -140,6 +140,7 @@ pub struct Topology {
     gabriel: OnceLock<Csr<NodeId>>,
     rng_graph: OnceLock<Csr<NodeId>>,
     neighbor_dists: OnceLock<Csr<f64>>,
+    fingerprint: OnceLock<u64>,
 }
 
 impl Topology {
@@ -168,6 +169,7 @@ impl Topology {
             gabriel: OnceLock::new(),
             rng_graph: OnceLock::new(),
             neighbor_dists: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -378,6 +380,25 @@ impl Topology {
         all.row(id.index())
     }
 
+    /// A structural fingerprint over the deployment area, the radio range
+    /// and the bits of every node position — everything adjacency and the
+    /// fault compiler derive from — computed lazily once and cached.
+    /// Topologies with equal fingerprints are, up to a 64-bit hash
+    /// collision, the same deployment, so state compiled against one (a
+    /// fault plan's liveness timeline or churn walk) serves the other.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let Aabb { min, max } = self.area;
+            let header = [min.x, min.y, max.x, max.y, self.radio_range];
+            let coords = self.positions.iter().flat_map(|p| [p.x, p.y]);
+            header
+                .into_iter()
+                .chain(coords)
+                .map(f64::to_bits)
+                .fold(mix64(self.len() as u64), |h, w| mix64(h ^ w))
+        })
+    }
+
     /// Whether the unit-disk graph is connected (BFS from node 0).
     pub fn is_connected(&self) -> bool {
         if self.positions.is_empty() {
@@ -419,6 +440,14 @@ impl Topology {
             + lazy(&self.rng_graph)
             + self.neighbor_dists.get().map_or(0, Csr::heap_bytes)
     }
+}
+
+/// The splitmix64 finalizer: a bijective avalanche over one word, so
+/// chaining it word by word keeps every input bit in play.
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -543,6 +572,31 @@ mod tests {
         let config = TopologyConfig::new(300.0, 50, 100.0);
         let topo = Topology::random(&config, 9);
         assert_eq!(topo.positions(), topo.positions_ref().to_vec());
+    }
+
+    #[test]
+    fn fingerprint_covers_area_range_and_position_bits() {
+        let positions = vec![Point::new(0.0, 0.0), Point::new(30.0, 40.0)];
+        let topo = |positions: Vec<Point>, side: f64, range: f64| {
+            Topology::from_positions(positions, Aabb::square(side), range)
+        };
+        let base = topo(positions.clone(), 100.0, 60.0);
+        assert_eq!(
+            base.fingerprint(),
+            topo(positions.clone(), 100.0, 60.0).fingerprint(),
+            "a rebuilt deployment keeps its fingerprint"
+        );
+        assert_eq!(base.fingerprint(), base.fingerprint(), "cached value");
+        let mut zero_sign = positions.clone();
+        zero_sign[0] = Point::new(-0.0, 0.0);
+        for other in [
+            topo(positions.clone(), 200.0, 60.0),
+            topo(positions.clone(), 100.0, 61.0),
+            topo(zero_sign, 100.0, 60.0),
+            topo(positions[..1].to_vec(), 100.0, 60.0),
+        ] {
+            assert_ne!(base.fingerprint(), other.fingerprint());
+        }
     }
 
     #[test]
