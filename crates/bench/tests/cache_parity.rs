@@ -9,8 +9,8 @@
 //! The matrix deliberately interleaves a fault-free run with crash,
 //! blackout, duty-cycle and Bernoulli-failure plans over the same tasks:
 //! the warm cache first fills with all-alive decisions, then the faulted
-//! replays hit the same fingerprints with flipped liveness bits and must
-//! recompute (the exact-input check rejects the stored entries), then the
+//! replays bring the same decisions with dead neighbors, which must
+//! recompute (the stored entries' dead-neighbor lists differ), then the
 //! fault-free run comes back and must still serve the originals.
 //!
 //! The non-GMP protocols ride along to pin the broader contract the

@@ -12,28 +12,39 @@
 //!
 //! # Why cached decisions are bit-exact
 //!
-//! The grouping is a pure function of exactly these inputs: the deciding
-//! node's position, the radio range, the destination ids and positions,
-//! the neighbor ids, positions and liveness bits, the radio-range-aware
-//! flag, and the perimeter entry point. A cache entry stores **all of
-//! them exactly** (positions compared by `f64` bit pattern), and a lookup
-//! only serves the stored grouping after verifying every one — so a hit
-//! is *proven* equal to what recomputation would produce, not assumed
-//! from a hash. The fingerprint only finds the candidate entry;
+//! The grouping is a pure function of exactly these inputs: the topology
+//! (node and destination positions, radio range, the deciding node's
+//! neighbor row and those neighbors' positions), the deciding node, the
+//! destination ids, the radio-range-aware flag, the perimeter entry point,
+//! and which of the node's neighbors the liveness view marks dead. A
+//! cache entry holds each of them exactly and a lookup serves the stored
+//! grouping only after checking every one, so a hit is *proven* equal to
+//! what recomputation would produce, not assumed from a hash:
+//!
+//! - the topology is checked by its [`Topology::id`]. Ids are unique per
+//!   built topology and a topology never changes, so an equal id proves
+//!   equal positions, radio range and adjacency without reading them;
+//! - the remaining inputs are compared directly: node and destination
+//!   ids, the flag, the perimeter entry point by `f64` bit pattern, and
+//!   the dead neighbors' ids in row order.
+//!
+//! A hit therefore reads the packet's destinations, not the node's
+//! neighborhood. The fingerprint only finds the candidate entry;
 //! correctness never rests on the hash.
 //!
-//! A verification failure (hash collision, a node's liveness flipped by a
-//! fault plan, even a different topology behind the same ids) falls back
-//! to a full rebuild and replaces the entry in place — this is how
-//! `gmp-faults` liveness changes invalidate affected entries without any
-//! out-of-band notification.
+//! A lookup whose inputs match no stored entry — a node's liveness
+//! flipped by a fault plan, another topology behind the same node ids
+//! (even one rebuilt from the same positions), or a fingerprint collision
+//! — falls back to a full rebuild; on a collision the rebuild replaces
+//! the resident entry in place. This is how `gmp-faults` liveness changes
+//! invalidate affected entries without any out-of-band notification.
 //!
-//! The liveness bits are *normalized*: a `None` view and an all-`true`
-//! slice store identical bits. That is sound because the grouping's only
-//! read of the view — the candidate filter at the top of
+//! The liveness view is *normalized* to its dead neighbors: a `None` view
+//! and an all-`true` slice both have none. That is sound because the
+//! grouping's only read of the view — the candidate filter at the top of
 //! `find_next_hop`'s neighbor loop — precedes all floating-point work, so
 //! the two views are bit-identical by construction (the zero-fault parity
-//! contract).
+//! contract). A lookup without a view never walks the neighbor row.
 //!
 //! # One fill rule
 //!
@@ -59,8 +70,9 @@ use crate::grouping::{copy_grouping_into, DecisionScratch, Grouping};
 /// affect only speed, never outcomes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
-    /// Maximum number of stored decisions (`GMP_CACHE_CAPACITY`); a full
-    /// cache computes further decisions without storing them.
+    /// Maximum number of stored decisions (`GMP_CACHE_CAPACITY`), at most
+    /// [`CacheConfig::MAX_CAPACITY`]; a full cache computes further
+    /// decisions without storing them.
     pub capacity: usize,
     /// Recompute-and-compare every hit (`GMP_CACHE_PARANOID`).
     pub paranoid: bool,
@@ -76,6 +88,23 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
+    /// The largest accepted capacity: 2^20 decisions.
+    /// [`ConcurrentTreeCache`] preallocates one 16-byte slot per decision
+    /// (rounded up to a power of two), so this bounds its table at 16 MiB.
+    pub const MAX_CAPACITY: usize = 1 << 20;
+
+    /// The constructors' check: explicit configurations come from code,
+    /// so an out-of-range capacity is a bug, reported before any
+    /// allocation.
+    fn assert_capacity(&self) {
+        assert!(
+            (1..=CacheConfig::MAX_CAPACITY).contains(&self.capacity),
+            "cache capacity {} is outside 1..={}",
+            self.capacity,
+            CacheConfig::MAX_CAPACITY
+        );
+    }
+
     /// The defaults with any `GMP_CACHE_CAPACITY` / `GMP_CACHE_PARANOID`
     /// environment overrides applied. Unparsable or out-of-range values
     /// fall back to the defaults with a warning on stderr — never a panic.
@@ -98,9 +127,13 @@ impl CacheConfig {
             &lookup,
             "GMP_CACHE_CAPACITY",
             config.capacity,
-            "is not a positive integer",
+            &format!("is not an integer in 1..={}", CacheConfig::MAX_CAPACITY),
             &format!("default {}", config.capacity),
-            |raw| raw.parse::<usize>().ok().filter(|&cap| cap > 0),
+            |raw| {
+                raw.parse::<usize>()
+                    .ok()
+                    .filter(|cap| (1..=CacheConfig::MAX_CAPACITY).contains(cap))
+            },
             &mut warnings,
         );
         // Any value but "0" enables paranoid mode — no malformed case, by
@@ -120,9 +153,10 @@ pub struct CacheStats {
     /// Lookups with no stored entry under the fingerprint: computed
     /// fresh, then stored if the cache has room.
     pub misses: u64,
-    /// Lookups whose stored entry failed the exact validity check
-    /// (liveness flip, hash collision, changed geometry): computed fresh,
-    /// entry replaced in place where the cache allows it.
+    /// Lookups whose stored entry failed the exact validity check: a
+    /// fingerprint collision, since the fingerprint mixes every compared
+    /// input. Computed fresh, entry replaced in place where the cache
+    /// allows it.
     pub fallbacks: u64,
     /// Always 0: neither cache evicts, because a full cache stores
     /// nothing new. Kept so report consumers keep their fields.
@@ -154,18 +188,17 @@ impl CacheStats {
 }
 
 /// One memoized decision: every exact input plus the resulting grouping.
+/// The topology stands in for every position, the radio range and the
+/// neighbor row through its id (see the module docs).
 #[derive(Debug, Clone, Default)]
 struct CacheEntry {
+    topo: u64,
     node: NodeId,
-    node_pos: Point,
-    radio_range: f64,
     rra: bool,
     perimeter_entry: Option<Point>,
     dests: Vec<NodeId>,
-    dest_pos: Vec<Point>,
-    neighbors: Vec<NodeId>,
-    neighbor_pos: Vec<Point>,
-    neighbor_alive: Vec<bool>,
+    /// The neighbors the liveness view marked dead, in row order.
+    dead_neighbors: Vec<NodeId>,
     grouping: Grouping,
 }
 
@@ -206,24 +239,25 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 #[inline]
-fn point_bits_eq(a: Point, b: Point) -> bool {
-    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
-}
-
-#[inline]
 fn entry_bits_eq(a: Option<Point>, b: Option<Point>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(p), Some(q)) => point_bits_eq(p, q),
-        _ => false,
-    }
+    let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
+    bits(a) == bits(b)
 }
 
-/// The normalized liveness bit for one neighbor (see the module docs for
-/// why `None` and all-`true` may share it).
+/// The neighbors of `node` that `alive` marks dead, in row order: the
+/// normalized liveness key (see the module docs for why `None` and
+/// all-`true` may share it). Walks the row only when there is a view.
 #[inline]
-fn alive_bit(alive: Option<&[bool]>, n: NodeId) -> bool {
-    alive.is_none_or(|a| a[n.index()])
+fn dead_neighbors<'a>(
+    topo: &'a Topology,
+    node: NodeId,
+    alive: Option<&'a [bool]>,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let (row, alive) = match alive {
+        Some(a) => (topo.neighbors(node), a),
+        None => (&[][..], &[][..]),
+    };
+    row.iter().copied().filter(move |n| !alive[n.index()])
 }
 
 /// Memoizes forwarding decisions across hops (and across simulated
@@ -263,8 +297,13 @@ impl TreeCache {
     }
 
     /// A cache with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.capacity` is outside
+    /// `1..=`[`CacheConfig::MAX_CAPACITY`].
     pub fn with_config(config: CacheConfig) -> Self {
-        assert!(config.capacity > 0, "cache capacity must be positive");
+        config.assert_capacity();
         TreeCache {
             config,
             map: HashMap::default(),
@@ -349,9 +388,9 @@ impl TreeCache {
                 }
                 return scratch.grouping_ref();
             }
-            // Exact check failed: the inputs changed under this
-            // fingerprint (liveness flip, collision…). Recompute and
-            // replace the resident entry in place.
+            // Exact check failed: different inputs under this
+            // fingerprint (a collision). Recompute and replace the
+            // resident entry in place.
             self.stats.fallbacks += 1;
             scratch.group_destinations_into(
                 topo,
@@ -405,8 +444,9 @@ impl TreeCache {
     }
 }
 
-/// The lookup fingerprint: node id, flags, and exact position bits mixed
-/// into 64 bits. Only a probe — every served decision is re-verified
+/// The lookup fingerprint: topology id, node id, flag, perimeter-entry
+/// bits, destination ids and dead-neighbor ids mixed into 64 bits. It
+/// reads no node position. Only a probe — every served decision is re-verified
 /// against exact inputs. Shared by [`TreeCache`] and
 /// [`ConcurrentTreeCache`] so a private and a shared cache agree on
 /// which probe a decision lands under.
@@ -418,11 +458,9 @@ fn fingerprint(
     perimeter_entry: Option<Point>,
     alive: Option<&[bool]>,
 ) -> u64 {
-    let mut h = mix(0x9e37_79b9_7f4a_7c15, node.0 as u64);
+    let mut h = mix(0x9e37_79b9_7f4a_7c15, topo.id());
+    h = mix(h, node.0 as u64);
     h = mix(h, radio_range_aware as u64);
-    let here = topo.pos(node);
-    h = mix(h, here.x.to_bits());
-    h = mix(h, here.y.to_bits());
     match perimeter_entry {
         Some(e) => {
             h = mix(h, 1);
@@ -432,27 +470,22 @@ fn fingerprint(
         None => h = mix(h, 2),
     }
     for &d in dests {
-        let p = topo.pos(d);
         h = mix(h, d.0 as u64);
-        h = mix(h, p.x.to_bits());
-        h = mix(h, p.y.to_bits());
     }
-    // Normalized per-neighbor liveness, folded in as a running bit
-    // string so dead-neighbor variants get their own probe.
-    let mut bits = 1u64;
-    for &n in topo.neighbors(node) {
-        bits = (bits << 1) | alive_bit(alive, n) as u64;
-        if bits >> 63 == 1 {
-            h = mix(h, bits);
-            bits = 1;
-        }
+    // Dead ids are tagged above the 32-bit id range, so an id probes
+    // differently as a dead neighbor than as one more destination.
+    for n in dead_neighbors(topo, node, alive) {
+        h = mix(h, 1 << 32 | n.0 as u64);
     }
-    mix(h, bits)
+    // The low bits pick the bucket, but multiply-rotate mixing leaves them
+    // a function of mostly the inputs' low bits, and every input here is
+    // a small id: fold the high half down so full windows stay rare.
+    h ^ (h >> 32)
 }
 
 /// The exact-input validity check: `true` iff recomputing from these
-/// arguments is guaranteed to reproduce `entry.grouping` (every value the
-/// decision reads is compared, positions by bit pattern).
+/// arguments is guaranteed to reproduce `entry.grouping` (the topology by
+/// id, every other input the decision reads compared directly).
 fn entry_matches(
     entry: &CacheEntry,
     topo: &Topology,
@@ -462,28 +495,12 @@ fn entry_matches(
     perimeter_entry: Option<Point>,
     alive: Option<&[bool]>,
 ) -> bool {
-    entry.node == node
+    entry.topo == topo.id()
+        && entry.node == node
         && entry.rra == radio_range_aware
-        && entry.radio_range.to_bits() == topo.radio_range().to_bits()
-        && point_bits_eq(entry.node_pos, topo.pos(node))
         && entry_bits_eq(entry.perimeter_entry, perimeter_entry)
         && entry.dests == dests
-        && entry
-            .dest_pos
-            .iter()
-            .zip(dests)
-            .all(|(&p, &d)| point_bits_eq(p, topo.pos(d)))
-        && entry.neighbors == topo.neighbors(node)
-        && entry
-            .neighbor_pos
-            .iter()
-            .zip(&entry.neighbors)
-            .all(|(&p, &n)| point_bits_eq(p, topo.pos(n)))
-        && entry
-            .neighbor_alive
-            .iter()
-            .zip(&entry.neighbors)
-            .all(|(&bit, &n)| bit == alive_bit(alive, n))
+        && dead_neighbors(topo, node, alive).eq(entry.dead_neighbors.iter().copied())
 }
 
 /// (Re)populates `entry` from the decision's exact inputs and freshly
@@ -500,25 +517,16 @@ fn fill_entry(
     perimeter_entry: Option<Point>,
     alive: Option<&[bool]>,
 ) {
+    entry.topo = topo.id();
     entry.node = node;
-    entry.node_pos = topo.pos(node);
-    entry.radio_range = topo.radio_range();
     entry.rra = radio_range_aware;
     entry.perimeter_entry = perimeter_entry;
     entry.dests.clear();
     entry.dests.extend_from_slice(dests);
-    entry.dest_pos.clear();
-    entry.dest_pos.extend(dests.iter().map(|&d| topo.pos(d)));
-    entry.neighbors.clear();
-    entry.neighbors.extend_from_slice(topo.neighbors(node));
-    entry.neighbor_pos.clear();
+    entry.dead_neighbors.clear();
     entry
-        .neighbor_pos
-        .extend(entry.neighbors.iter().map(|&n| topo.pos(n)));
-    entry.neighbor_alive.clear();
-    entry
-        .neighbor_alive
-        .extend(entry.neighbors.iter().map(|&n| alive_bit(alive, n)));
+        .dead_neighbors
+        .extend(dead_neighbors(topo, node, alive));
     copy_grouping_into(grouping, &mut entry.grouping, pool);
 }
 
@@ -554,8 +562,9 @@ struct PublishedEntry {
 /// # Why sharing cannot change outcomes
 ///
 /// Served entries pass the same [`entry_matches`] exact-input
-/// verification as the private cache: every value the decision reads is
-/// compared bitwise before the stored grouping is served, so a hit is
+/// verification as the private cache: the topology is matched by id and
+/// every other input the decision reads is compared exactly before the
+/// stored grouping is served, so a hit is
 /// *proven* equal to recomputation no matter which thread published the
 /// entry or when. The only cross-thread effect is whether a given lookup
 /// is a hit or a recompute — two paths that are bit-identical by the
@@ -600,8 +609,13 @@ impl ConcurrentTreeCache {
     }
 
     /// A shared cache with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.capacity` is outside
+    /// `1..=`[`CacheConfig::MAX_CAPACITY`].
     pub fn with_config(config: CacheConfig) -> Self {
-        assert!(config.capacity > 0, "cache capacity must be positive");
+        config.assert_capacity();
         let table = config.capacity.next_power_of_two().max(WAYS);
         let mut slots = Vec::with_capacity(table);
         slots.resize_with(table, OnceLock::new);
@@ -697,11 +711,10 @@ impl ConcurrentTreeCache {
                 }
                 return scratch.grouping_ref();
             }
-            // Same fingerprint, different exact inputs (a hash collision,
-            // or a changed input the fingerprint omits). Immutable
-            // entries can't be replaced, so this probe recomputes; the
-            // corrected decision may still land in a later way of the
-            // window.
+            // Same fingerprint, different exact inputs (a hash
+            // collision). Immutable entries can't be replaced, so this
+            // probe recomputes; the corrected decision may still land in
+            // a later way of the window.
             stale = true;
         }
 
@@ -796,6 +809,85 @@ mod tests {
         d.sort();
         d.dedup();
         d
+    }
+
+    /// The grouping a fresh scratch computes, bypassing every cache.
+    fn direct(topo: &Topology, node: NodeId, dests: &[NodeId], alive: Option<&[bool]>) -> Grouping {
+        let mut s = DecisionScratch::new();
+        s.group_destinations_into(topo, node, dests, true, None, alive);
+        s.grouping_ref().clone()
+    }
+
+    /// Two liveness views over `topo` that each kill exactly one neighbor
+    /// of `node`, with different groupings: the first kills `warm`'s first
+    /// next hop, the second a neighbor no group of `warm` uses.
+    fn one_dead_views(topo: &Topology, node: NodeId, warm: &Grouping) -> [Vec<bool>; 2] {
+        let hop = warm.covered[0].next_hop;
+        let idle = *topo
+            .neighbors(node)
+            .iter()
+            .find(|n| warm.covered.iter().all(|g| g.next_hop != **n))
+            .expect("a neighbor no group forwards to");
+        [hop, idle].map(|dead| {
+            let mut view = vec![true; topo.len()];
+            view[dead.index()] = false;
+            view
+        })
+    }
+
+    /// Warms a cache on `a`, then asks for the same decision on two other
+    /// topologies: one with a neighbor of the deciding node moved, and one
+    /// rebuilt from `a`'s exact positions. `lookup` runs one cached
+    /// decision and returns it with the cache's counters. Each lookup on
+    /// another topology must equal a direct rebuild there and count as a
+    /// miss.
+    fn other_topology_misses(
+        mut lookup: impl FnMut(&Topology, NodeId, &[NodeId]) -> (Grouping, CacheStats),
+    ) {
+        let a = topo();
+        let node = NodeId(42);
+        let dests = dests_for(7, &a, node);
+        let (warm, _) = lookup(&a, node, &dests);
+        let (again, stats) = lookup(&a, node, &dests);
+        assert_eq!(again, warm);
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+
+        // Same node count and ids; `node`'s first next hop sits elsewhere.
+        let mut positions = a.positions();
+        positions[warm.covered[0].next_hop.index()] = Point::new(1.0, 1.0);
+        let moved = Topology::from_positions(positions, a.area(), a.radio_range());
+        let rebuilt = Topology::from_positions(a.positions(), a.area(), a.radio_range());
+        let expect_moved = direct(&moved, node, &dests, None);
+        assert_ne!(
+            expect_moved, warm,
+            "the moved neighbor changes the decision"
+        );
+        for (i, b) in [moved, rebuilt].iter().enumerate() {
+            let (got, after) = lookup(b, node, &dests);
+            assert_eq!(got, direct(b, node, &dests, None), "topology {i}");
+            assert_eq!(after.hits, 1, "topology {i} must never be served a's entry");
+            assert_eq!(after.misses, 2 + i as u64, "topology {i}");
+            assert_eq!(after.fallbacks, 0, "topology {i}");
+        }
+    }
+
+    #[test]
+    fn lookup_on_another_topology_misses() {
+        let mut cache = TreeCache::with_config(CacheConfig::default());
+        let mut scratch = DecisionScratch::new();
+        other_topology_misses(|topo, node, dests| {
+            let got = cache
+                .group_destinations_cached(&mut scratch, topo, node, dests, true, None, None)
+                .clone();
+            (got, cache.stats())
+        });
+        let cache = ConcurrentTreeCache::with_config(CacheConfig::default());
+        other_topology_misses(|topo, node, dests| {
+            let got = cache
+                .group_destinations_cached(&mut scratch, topo, node, dests, true, None, None)
+                .clone();
+            (got, cache.stats())
+        });
     }
 
     #[test]
@@ -903,6 +995,28 @@ mod tests {
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
             .clone();
         assert_eq!(again, warm);
+        assert_eq!(cache.stats().hits, 2);
+
+        // Two views with one dead neighbor each, but different ones: the
+        // second must be recomputed, not served the first's grouping.
+        let [first, second] = one_dead_views(&topo, node, &warm);
+        let expect = [&first, &second].map(|view| direct(&topo, node, &dests, Some(view)));
+        assert_ne!(expect[0], expect[1]);
+        for (view, expect) in [&first, &second].into_iter().zip(&expect) {
+            let got = cache
+                .group_destinations_cached(
+                    &mut scratch,
+                    &topo,
+                    node,
+                    &dests,
+                    true,
+                    None,
+                    Some(view),
+                )
+                .clone();
+            assert_eq!(&got, expect);
+        }
+        assert_eq!(cache.stats().hits, 2, "no view is served another's entry");
     }
 
     #[test]
@@ -976,7 +1090,17 @@ mod tests {
     #[test]
     fn malformed_env_values_fall_back_to_defaults_with_warnings() {
         let defaults = CacheConfig::default();
-        for bad in ["banana", "0", "-3", "1.5", ""] {
+        // 2^40 would preallocate a 16 TiB slot table; 2^63 + 1 overflows
+        // `next_power_of_two`.
+        for bad in [
+            "banana",
+            "0",
+            "-3",
+            "1.5",
+            "",
+            "1099511627776",
+            "9223372036854775809",
+        ] {
             let (config, warnings) =
                 CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_CAPACITY", bad)]));
             assert_eq!(config, defaults, "capacity {bad:?}");
@@ -993,6 +1117,11 @@ mod tests {
         ]));
         assert_eq!(config.capacity, 1024);
         assert!(config.paranoid);
+        assert!(warnings.is_empty());
+        let max = CacheConfig::MAX_CAPACITY.to_string();
+        let (config, warnings) =
+            CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_CAPACITY", &max)]));
+        assert_eq!(config.capacity, CacheConfig::MAX_CAPACITY);
         assert!(warnings.is_empty());
     }
 
@@ -1160,6 +1289,29 @@ mod tests {
             .clone();
         assert_eq!(again_dead, expect_dead);
         assert_eq!(cache.stats().hits, 3);
+
+        // Two views with one dead neighbor each, but different ones: each
+        // is recomputed, then both are resident under their own entries.
+        let [first, second] = one_dead_views(&topo, node, &warm);
+        let expect = [&first, &second].map(|view| direct(&topo, node, &dests, Some(view)));
+        assert_ne!(expect[0], expect[1]);
+        for round in 0..2 {
+            for (view, expect) in [&first, &second].into_iter().zip(&expect) {
+                let got = cache
+                    .group_destinations_cached(
+                        &mut scratch,
+                        &topo,
+                        node,
+                        &dests,
+                        true,
+                        None,
+                        Some(view),
+                    )
+                    .clone();
+                assert_eq!(&got, expect, "round {round}");
+            }
+        }
+        assert_eq!(cache.stats().hits, 3 + 2, "only the second round hits");
     }
 
     #[test]

@@ -206,10 +206,9 @@ impl CompiledPlan {
 /// oracle.
 ///
 /// The compiled plan is reused for as long as tasks bring an equal plan
-/// against the same deployment: the plan is compared by value against a
-/// retained copy and the topology by its once-computed
-/// [`Topology::fingerprint`], so recognising a compiled pair hashes
-/// nothing.
+/// against the same topology: the plan is compared by value against a
+/// retained copy and the topology by its [`Topology::id`], so recognising
+/// a compiled pair hashes nothing and is exact.
 ///
 /// The runner embeds one of these in its `SimScratch`; all methods are
 /// allocation-free after the first task against a given plan/topology.
@@ -218,8 +217,8 @@ pub struct FaultScratch {
     compiled: CompiledPlan,
     /// The plan `compiled` was built from.
     compiled_plan: FaultPlan,
-    /// Fingerprint of the topology `compiled` was built against; `None`
-    /// until the first compile.
+    /// Id of the topology `compiled` was built against; `None` until the
+    /// first compile.
     compiled_topo: Option<u64>,
     /// Next transition to apply (index into `compiled.transitions`).
     cursor: usize,
@@ -238,10 +237,10 @@ impl FaultScratch {
     }
 
     /// Prepares the timeline for one task: compiles `plan` against
-    /// `topo` unless the last compile was of an equal plan against a
-    /// topology with the same fingerprint, snapshots the Bernoulli deaths
-    /// already applied to `alive`, and applies the `t = 0` fault state.
-    /// The task `source` is exempt from node faults.
+    /// `topo` unless the last compile was of an equal plan against this
+    /// same topology, snapshots the Bernoulli deaths already applied to
+    /// `alive`, and applies the `t = 0` fault state. The task `source` is
+    /// exempt from node faults.
     ///
     /// A plan holding a NaN never equals its copy, so it recompiles on
     /// every task — slower, never wrong.
@@ -255,11 +254,10 @@ impl FaultScratch {
         source: NodeId,
         alive: &mut [bool],
     ) {
-        let topo_key = topo.fingerprint();
-        if self.compiled_topo != Some(topo_key) || self.compiled_plan != *plan {
+        if self.compiled_topo != Some(topo.id()) || self.compiled_plan != *plan {
             self.compiled.compile(plan, topo);
             self.compiled_plan.clone_from(plan);
-            self.compiled_topo = Some(topo_key);
+            self.compiled_topo = Some(topo.id());
         }
         self.cursor = 0;
         self.bern_dead.clear();
@@ -642,11 +640,18 @@ mod tests {
         assert!(scratch.has_duty(), "same plan reuses the compiled plan");
         assert_eq!(scratch.cursor, 0, "timeline rewinds per task");
         let rebuilt = FaultPlan::none().with_crash(NodeId(2), 1.0);
-        scratch.begin_task(&rebuilt, &line_with_island(), NodeId(0), &mut alive);
+        scratch.begin_task(&rebuilt, &topo, NodeId(0), &mut alive);
         assert!(
             scratch.has_duty(),
-            "an equal plan on an equal topology, both built separately, reuses it"
+            "an equal plan, built separately, reuses it"
         );
+        scratch.begin_task(&rebuilt, &line_with_island(), NodeId(0), &mut alive);
+        assert!(
+            !scratch.has_duty(),
+            "an equal plan on an equal topology, both built separately, recompiles"
+        );
+        scratch.begin_task(&plan, &topo, NodeId(0), &mut alive);
+        mark_compiled(&mut scratch);
         let other = plan.clone().with_crash(NodeId(3), 2.0);
         scratch.begin_task(&other, &topo, NodeId(0), &mut alive);
         assert!(!scratch.has_duty(), "different plan recompiles");

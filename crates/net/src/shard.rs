@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::grid::GridIndex;
 use crate::node::NodeId;
-use crate::topology::{mix64, Hole, Topology, MAX_PLACEMENT_ATTEMPTS};
+use crate::topology::{Hole, Topology, MAX_PLACEMENT_ATTEMPTS};
 
 /// The paper's deployment density: 1000 nodes uniformly distributed over
 /// 1000 m × 1000 m (Table 1), i.e. 0.001 nodes/m².
@@ -435,6 +435,13 @@ fn tile_bounds(config: &ShardConfig, tx: usize, ty: usize) -> Aabb {
 /// neighboring seeds) get uncorrelated streams.
 fn tile_seed(seed: u64, tx: u64, ty: u64) -> u64 {
     mix64(seed ^ tx.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ty.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+}
+
+/// The splitmix64 finalizer: a bijective avalanche over one word.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Rejection-samples a point uniform over `bounds` avoiding every hole,

@@ -1,6 +1,7 @@
 //! Deployment topologies: node placement generators and the immutable
 //! [`Topology`] the simulator and protocols operate on.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use gmp_geom::{Aabb, Point};
@@ -17,6 +18,10 @@ use crate::planar::{planarize, PlanarKind};
 /// sampling region; the generators panic with the offending hole config
 /// instead of spinning forever.
 pub(crate) const MAX_PLACEMENT_ATTEMPTS: usize = 100_000;
+
+/// The next [`Topology::id`] to hand out. It publishes no other data, so
+/// `Relaxed` is enough: `fetch_add` alone makes every id unique.
+static NEXT_TOPOLOGY_ID: AtomicU64 = AtomicU64::new(0);
 
 /// How nodes are placed in the deployment area.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,8 +136,16 @@ impl TopologyConfig {
 /// (a node record is synthesized on demand by [`Topology::nodes`]) and
 /// adjacency, planar subgraphs, and neighbor distances are [`Csr`] layouts
 /// — two flat arrays each, independent of node count.
+///
+/// Every topology carries a process-unique [`Topology::id`]. The fields
+/// are private, no method takes `&mut self` and the type is not `Clone`,
+/// so the positions, area, radio range and adjacency behind an id never
+/// change and no second value shares it: equal ids *prove* the same
+/// deployment, without hashing or comparing it. A method that ever
+/// mutates a topology must keep that invariant by stamping a fresh id.
 #[derive(Debug)]
 pub struct Topology {
+    id: u64,
     positions: Vec<Point>,
     area: Aabb,
     radio_range: f64,
@@ -140,11 +153,11 @@ pub struct Topology {
     gabriel: OnceLock<Csr<NodeId>>,
     rng_graph: OnceLock<Csr<NodeId>>,
     neighbor_dists: OnceLock<Csr<f64>>,
-    fingerprint: OnceLock<u64>,
 }
 
 impl Topology {
-    /// Builds a topology from explicit node positions.
+    /// Builds a topology from explicit node positions, stamped with a
+    /// fresh [`Topology::id`]. This is the only constructor.
     ///
     /// # Panics
     ///
@@ -162,6 +175,7 @@ impl Topology {
             adjacency.push_row(buf.iter().copied());
         }
         Topology {
+            id: NEXT_TOPOLOGY_ID.fetch_add(1, Ordering::Relaxed),
             positions,
             area,
             radio_range,
@@ -169,7 +183,6 @@ impl Topology {
             gabriel: OnceLock::new(),
             rng_graph: OnceLock::new(),
             neighbor_dists: OnceLock::new(),
-            fingerprint: OnceLock::new(),
         }
     }
 
@@ -266,6 +279,15 @@ impl Topology {
             }
         }
         Topology::from_positions(positions, area, config.radio_range)
+    }
+
+    /// This topology's process-unique identity. Two topologies built
+    /// separately from the same positions get different ids; state keyed
+    /// on an id (decision-cache entries, a compiled fault plan) therefore
+    /// never serves one topology what was derived from another.
+    #[inline]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of nodes.
@@ -380,25 +402,6 @@ impl Topology {
         all.row(id.index())
     }
 
-    /// A structural fingerprint over the deployment area, the radio range
-    /// and the bits of every node position — everything adjacency and the
-    /// fault compiler derive from — computed lazily once and cached.
-    /// Topologies with equal fingerprints are, up to a 64-bit hash
-    /// collision, the same deployment, so state compiled against one (a
-    /// fault plan's liveness timeline or churn walk) serves the other.
-    pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let Aabb { min, max } = self.area;
-            let header = [min.x, min.y, max.x, max.y, self.radio_range];
-            let coords = self.positions.iter().flat_map(|p| [p.x, p.y]);
-            header
-                .into_iter()
-                .chain(coords)
-                .map(f64::to_bits)
-                .fold(mix64(self.len() as u64), |h, w| mix64(h ^ w))
-        })
-    }
-
     /// Whether the unit-disk graph is connected (BFS from node 0).
     pub fn is_connected(&self) -> bool {
         if self.positions.is_empty() {
@@ -440,14 +443,6 @@ impl Topology {
             + lazy(&self.rng_graph)
             + self.neighbor_dists.get().map_or(0, Csr::heap_bytes)
     }
-}
-
-/// The splitmix64 finalizer: a bijective avalanche over one word, so
-/// chaining it word by word keeps every input bit in play.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -575,28 +570,17 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_covers_area_range_and_position_bits() {
+    fn separately_built_topologies_get_distinct_stable_ids() {
         let positions = vec![Point::new(0.0, 0.0), Point::new(30.0, 40.0)];
-        let topo = |positions: Vec<Point>, side: f64, range: f64| {
-            Topology::from_positions(positions, Aabb::square(side), range)
-        };
-        let base = topo(positions.clone(), 100.0, 60.0);
-        assert_eq!(
-            base.fingerprint(),
-            topo(positions.clone(), 100.0, 60.0).fingerprint(),
-            "a rebuilt deployment keeps its fingerprint"
-        );
-        assert_eq!(base.fingerprint(), base.fingerprint(), "cached value");
-        let mut zero_sign = positions.clone();
-        zero_sign[0] = Point::new(-0.0, 0.0);
-        for other in [
-            topo(positions.clone(), 200.0, 60.0),
-            topo(positions.clone(), 100.0, 61.0),
-            topo(zero_sign, 100.0, 60.0),
-            topo(positions[..1].to_vec(), 100.0, 60.0),
-        ] {
-            assert_ne!(base.fingerprint(), other.fingerprint());
-        }
+        let a = Topology::from_positions(positions.clone(), Aabb::square(100.0), 60.0);
+        let b = Topology::from_positions(positions, Aabb::square(100.0), 60.0);
+        assert_eq!(a.positions(), b.positions());
+        assert_ne!(a.id(), b.id(), "identical positions, separate builds");
+        let id = a.id();
+        a.neighbors(NodeId(0));
+        a.planar_neighbors(PlanarKind::Gabriel, NodeId(0));
+        a.neighbor_distances(NodeId(1));
+        assert_eq!(a.id(), id, "lazy caches leave the id alone");
     }
 
     #[test]
