@@ -9,9 +9,11 @@
 //! The matrix deliberately interleaves a fault-free run with crash,
 //! blackout, duty-cycle and Bernoulli-failure plans over the same tasks:
 //! the warm cache first fills with all-alive decisions, then the faulted
-//! replays bring the same decisions with dead neighbors, which must
-//! recompute (the stored entries' dead-neighbor lists differ), then the
-//! fault-free run comes back and must still serve the originals.
+//! replays bring the same decisions with dead neighbors, which may be
+//! served only where the view keeps an entry's next hops alive and its
+//! blockers dead and must recompute everywhere else, then the fault-free
+//! run comes back and must get the all-alive decisions again, served or
+//! recomputed.
 //!
 //! The non-GMP protocols ride along to pin the broader contract the
 //! benches rely on: reusing a protocol instance across tasks is
@@ -145,9 +147,9 @@ proptest! {
 /// The concurrent cache substituted for the private one: a
 /// [`gmp_core::ConcurrentTreeCache`] shared across the whole
 /// config × task matrix (including the faulted rounds, whose flipped
-/// liveness bits must be rejected by the exact-input check and served
-/// fresh) never changes a GMP report bit-for-bit against the cold
-/// private-cache router.
+/// liveness bits must refuse every entry that depends on them) never
+/// changes a GMP report bit-for-bit against the cold private-cache
+/// router.
 #[test]
 fn shared_concurrent_cache_never_changes_reports() {
     use std::sync::Arc;

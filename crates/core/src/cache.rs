@@ -12,39 +12,73 @@
 //!
 //! # Why cached decisions are bit-exact
 //!
-//! The grouping is a pure function of exactly these inputs: the topology
-//! (node and destination positions, radio range, the deciding node's
-//! neighbor row and those neighbors' positions), the deciding node, the
-//! destination ids, the radio-range-aware flag, the perimeter entry point,
-//! and which of the node's neighbors the liveness view marks dead. A
-//! cache entry holds each of them exactly and a lookup serves the stored
-//! grouping only after checking every one, so a hit is *proven* equal to
-//! what recomputation would produce, not assumed from a hash:
+//! The grouping is a pure function of the topology (node and destination
+//! positions, radio range, the deciding node's neighbor row and those
+//! neighbors' positions), the deciding node, the destination ids, the
+//! radio-range-aware flag, the perimeter entry point, and the liveness
+//! view. A cache entry holds the first six exactly, and a lookup serves
+//! the stored grouping only after checking every one, so a hit is
+//! *proven* equal to what recomputation would produce, not assumed from a
+//! hash:
 //!
 //! - the topology is checked by its [`Topology::id`]. Ids are unique per
 //!   built topology and a topology never changes, so an equal id proves
 //!   equal positions, radio range and adjacency without reading them;
 //! - the remaining inputs are compared directly: node and destination
-//!   ids, the flag, the perimeter entry point by `f64` bit pattern, and
-//!   the dead neighbors' ids in row order.
+//!   ids, the flag, and the perimeter entry point by `f64` bit pattern.
 //!
-//! A hit therefore reads the packet's destinations, not the node's
-//! neighborhood. The fingerprint only finds the candidate entry;
-//! correctness never rests on the hash.
+//! The fingerprint mixes exactly these inputs and only finds the
+//! candidate entry; correctness never rests on the hash. A hit reads the
+//! packet's destinations, not the node's neighborhood.
 //!
-//! A lookup whose inputs match no stored entry — a node's liveness
-//! flipped by a fault plan, another topology behind the same node ids
-//! (even one rebuilt from the same positions), or a fingerprint collision
-//! — falls back to a full rebuild; on a collision the rebuild replaces
-//! the resident entry in place. This is how `gmp-faults` liveness changes
-//! invalidate affected entries without any out-of-band notification.
+//! # Liveness enters through the decision's dependencies
 //!
-//! The liveness view is *normalized* to its dead neighbors: a `None` view
-//! and an all-`true` slice both have none. That is sound because the
-//! grouping's only read of the view — the candidate filter at the top of
-//! `find_next_hop`'s neighbor loop — precedes all floating-point work, so
-//! the two views are bit-identical by construction (the zero-fault parity
-//! contract). A lookup without a view never walks the neighbor row.
+//! The view is not part of the key. An entry instead records what its
+//! decision depended on, and serves every view under which that
+//! dependency still holds. The view is read only by the next-hop rule
+//! (`grouping::next_hop`): each call returns the alive *passer* (a
+//! neighbor whose total distance to the group beats the bound) ranked
+//! first by squared distance to the pivot, ties going to the earlier
+//! neighbor in the row. Whether a neighbor passes, and how it ranks,
+//! depend on geometry alone. A *blocker* of a call is a dead passer
+//! ranked ahead of the call's result R — or any dead passer when there is
+//! no result. The rule records them as it scans, because a dead neighbor
+//! ranked ahead of the current alive best takes the improvement test like
+//! an alive one, and only an alive passer becomes the best.
+//!
+//! Take one call with result R under view V, and a view V′ under which R
+//! is alive and every blocker is dead. The alive passers under V′ still
+//! include R. A passer ranked ahead of R was either alive under V — then
+//! R was not the first under V, a contradiction — or dead under V, so a
+//! blocker, and dead under V′. So no alive passer ranks ahead of R, and
+//! the call returns R again under V′. With no result under V, every
+//! passer was dead under V and so is a blocker, dead under V′: the call
+//! returns `None` again. A call's inputs (its pivot and group) follow from
+//! the rrSTR tree, which ignores liveness, and from earlier calls'
+//! results, so by induction over the calls the whole grouping under V′ is
+//! the grouping under V.
+//!
+//! An entry therefore stores the decision's blockers, and a lookup with
+//! matching inputs serves it under a view when:
+//!
+//! - with no view (`None`, every node alive): the entry has no blockers;
+//! - with `Some(alive)`: every blocker is dead and every covered group's
+//!   next hop is alive.
+//!
+//! That costs O(groups + blockers) and reads no neighbor row. One entry
+//! serves every view it is valid for: the all-alive entry serves a crash
+//! view that kills none of its next hops, and a `None` view shares
+//! entries with an all-`true` one, which has no dead neighbor to block.
+//!
+//! A lookup that finds an entry with the same inputs that is not valid
+//! under its view is a **miss**: the decision is recomputed, and the
+//! private cache replaces the entry in place, keeping one entry per
+//! input set. A **fallback** is an entry with *different* inputs under the
+//! same fingerprint (a hash collision), recomputed and replaced the same
+//! way. A lookup on another topology, even one rebuilt from the same
+//! positions, never matches an entry's inputs. This is how `gmp-faults`
+//! liveness changes reach cached decisions without any out-of-band
+//! notification.
 //!
 //! # One fill rule
 //!
@@ -150,13 +184,15 @@ impl CacheConfig {
 pub struct CacheStats {
     /// Lookups served from a stored, fully verified entry.
     pub hits: u64,
-    /// Lookups with no stored entry under the fingerprint: computed
-    /// fresh, then stored if the cache has room.
+    /// Lookups that found no stored entry for their inputs, or only ones
+    /// their liveness view does not keep valid: computed fresh, then
+    /// stored if the cache has room (the private cache stores it in place
+    /// of the invalid entry).
     pub misses: u64,
-    /// Lookups whose stored entry failed the exact validity check: a
-    /// fingerprint collision, since the fingerprint mixes every compared
-    /// input. Computed fresh, entry replaced in place where the cache
-    /// allows it.
+    /// Lookups not served that met an entry with different inputs under
+    /// their fingerprint: a hash collision, since the fingerprint mixes
+    /// every compared input. Computed fresh, entry replaced in place where
+    /// the cache allows it.
     pub fallbacks: u64,
     /// Always 0: neither cache evicts, because a full cache stores
     /// nothing new. Kept so report consumers keep their fields.
@@ -187,9 +223,10 @@ impl CacheStats {
     }
 }
 
-/// One memoized decision: every exact input plus the resulting grouping.
-/// The topology stands in for every position, the radio range and the
-/// neighbor row through its id (see the module docs).
+/// One memoized decision: every exact input, the resulting grouping, and
+/// what the grouping depended on in the liveness view. The topology
+/// stands in for every position, the radio range and the neighbor row
+/// through its id (see the module docs).
 #[derive(Debug, Clone, Default)]
 struct CacheEntry {
     topo: u64,
@@ -197,8 +234,9 @@ struct CacheEntry {
     rra: bool,
     perimeter_entry: Option<Point>,
     dests: Vec<NodeId>,
-    /// The neighbors the liveness view marked dead, in row order.
-    dead_neighbors: Vec<NodeId>,
+    /// Dead neighbors that some next-hop call would have picked ahead of
+    /// its result; empty when the view killed none of them.
+    blockers: Vec<NodeId>,
     grouping: Grouping,
 }
 
@@ -238,26 +276,120 @@ fn mix(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
-#[inline]
-fn entry_bits_eq(a: Option<Point>, b: Option<Point>) -> bool {
-    let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
-    bits(a) == bits(b)
-}
-
-/// The neighbors of `node` that `alive` marks dead, in row order: the
-/// normalized liveness key (see the module docs for why `None` and
-/// all-`true` may share it). Walks the row only when there is a view.
-#[inline]
-fn dead_neighbors<'a>(
+/// A decision's exact inputs apart from the liveness view: what an
+/// entry's key holds and the fingerprint mixes.
+struct Inputs<'a> {
     topo: &'a Topology,
     node: NodeId,
-    alive: Option<&'a [bool]>,
-) -> impl Iterator<Item = NodeId> + 'a {
-    let (row, alive) = match alive {
-        Some(a) => (topo.neighbors(node), a),
-        None => (&[][..], &[][..]),
-    };
-    row.iter().copied().filter(move |n| !alive[n.index()])
+    dests: &'a [NodeId],
+    rra: bool,
+    perimeter_entry: Option<Point>,
+}
+
+impl Inputs<'_> {
+    /// The lookup fingerprint: topology id, node id, flag, perimeter-entry
+    /// bits and destination ids mixed into 64 bits. It reads no node
+    /// position and no liveness. Only a probe — every served decision is
+    /// re-verified against exact inputs. Shared by [`TreeCache`] and
+    /// [`ConcurrentTreeCache`] so a private and a shared cache agree on
+    /// which probe a decision lands under.
+    fn fingerprint(&self) -> u64 {
+        let mut h = mix(0x9e37_79b9_7f4a_7c15, self.topo.id());
+        h = mix(h, self.node.0 as u64);
+        h = mix(h, self.rra as u64);
+        match self.perimeter_entry {
+            Some(e) => {
+                h = mix(h, 1);
+                h = mix(h, e.x.to_bits());
+                h = mix(h, e.y.to_bits());
+            }
+            None => h = mix(h, 2),
+        }
+        for &d in self.dests {
+            h = mix(h, d.0 as u64);
+        }
+        // The low bits pick the bucket, but multiply-rotate mixing leaves
+        // them a function of mostly the inputs' low bits, and every input
+        // here is a small id: fold the high half down so full windows stay
+        // rare.
+        h ^ (h >> 32)
+    }
+
+    /// `true` iff `entry` was computed from exactly these inputs (the
+    /// topology by id, every other input compared directly).
+    fn matches(&self, entry: &CacheEntry) -> bool {
+        let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
+        entry.topo == self.topo.id()
+            && entry.node == self.node
+            && entry.rra == self.rra
+            && bits(entry.perimeter_entry) == bits(self.perimeter_entry)
+            && entry.dests == self.dests
+    }
+
+    /// Computes the decision into `scratch`, bypassing the cache.
+    fn compute<'s>(
+        &self,
+        scratch: &'s mut DecisionScratch,
+        alive: Option<&[bool]>,
+    ) -> &'s Grouping {
+        scratch.group_destinations_into(
+            self.topo,
+            self.node,
+            self.dests,
+            self.rra,
+            self.perimeter_entry,
+            alive,
+        )
+    }
+
+    /// (Re)populates `entry` from these inputs and the decision just
+    /// computed into `scratch`, reusing the entry's vectors.
+    fn fill(&self, entry: &mut CacheEntry, pool: &mut Vec<Vec<NodeId>>, scratch: &DecisionScratch) {
+        entry.topo = self.topo.id();
+        entry.node = self.node;
+        entry.rra = self.rra;
+        entry.perimeter_entry = self.perimeter_entry;
+        entry.dests.clear();
+        entry.dests.extend_from_slice(self.dests);
+        entry.blockers.clear();
+        entry.blockers.extend(scratch.blockers());
+        copy_grouping_into(scratch.grouping_ref(), &mut entry.grouping, pool);
+    }
+
+    /// Loads `entry`'s grouping into `scratch` — or, in paranoid mode,
+    /// recomputes the decision there and asserts it equals the stored one.
+    fn serve(
+        &self,
+        entry: &CacheEntry,
+        scratch: &mut DecisionScratch,
+        alive: Option<&[bool]>,
+        paranoid: bool,
+    ) {
+        if paranoid {
+            assert_eq!(
+                self.compute(scratch, alive),
+                &entry.grouping,
+                "paranoid cache check failed at node {} for {:?}",
+                self.node,
+                self.dests
+            );
+        } else {
+            scratch.load_grouping(&entry.grouping);
+        }
+    }
+}
+
+/// `true` iff `entry`'s grouping is what its inputs produce under the
+/// view `alive`: no blocker alive and no chosen next hop dead (see the
+/// module docs). Reads the entry only, never the neighbor row.
+fn serves_view(entry: &CacheEntry, alive: Option<&[bool]>) -> bool {
+    match alive {
+        None => entry.blockers.is_empty(),
+        Some(a) => {
+            entry.blockers.iter().all(|b| !a[b.index()])
+                && entry.grouping.covered.iter().all(|g| a[g.next_hop.index()])
+        }
+    }
 }
 
 /// Memoizes forwarding decisions across hops (and across simulated
@@ -338,10 +470,11 @@ impl TreeCache {
     }
 
     /// [`DecisionScratch::group_destinations_into`] through the cache:
-    /// serves a stored grouping when every exact input matches, computes
-    /// it otherwise (storing it while the cache has room). The result
-    /// always lives in `scratch`, bit-identical to what the direct call
-    /// would leave there.
+    /// serves a stored grouping when every exact input matches and the
+    /// entry is valid under `alive`, computes it otherwise (storing it
+    /// while the cache has room, or in place of the entry it could not
+    /// serve). The result always lives in `scratch`, bit-identical to what
+    /// the direct call would leave there.
     #[allow(clippy::too_many_arguments)]
     pub fn group_destinations_cached<'a>(
         &mut self,
@@ -353,181 +486,45 @@ impl TreeCache {
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
     ) -> &'a Grouping {
-        let fp = fingerprint(topo, node, dests, radio_range_aware, perimeter_entry, alive);
-        if let Some(&slot) = self.map.get(&fp) {
-            let entry = &self.entries[slot as usize];
-            if entry_matches(
-                entry,
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            ) {
-                self.stats.hits += 1;
-                if self.config.paranoid {
-                    // Recompute-and-compare mode: the recomputed grouping
-                    // is returned (it is asserted identical, so the
-                    // choice is immaterial).
-                    scratch.group_destinations_into(
-                        topo,
-                        node,
-                        dests,
-                        radio_range_aware,
-                        perimeter_entry,
-                        alive,
-                    );
-                    assert_eq!(
-                        scratch.grouping_ref(),
-                        &entry.grouping,
-                        "paranoid cache check failed at node {node} for {dests:?}"
-                    );
-                } else {
-                    scratch.load_grouping(&entry.grouping);
-                }
-                return scratch.grouping_ref();
-            }
-            // Exact check failed: different inputs under this
-            // fingerprint (a collision). Recompute and replace the
-            // resident entry in place.
-            self.stats.fallbacks += 1;
-            scratch.group_destinations_into(
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            );
-            let entry = &mut self.entries[slot as usize];
-            fill_entry(
-                entry,
-                &mut self.pool,
-                scratch.grouping_ref(),
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            );
-            return scratch.grouping_ref();
-        }
-
-        self.stats.misses += 1;
-        scratch.group_destinations_into(
+        let inputs = Inputs {
             topo,
             node,
             dests,
-            radio_range_aware,
+            rra: radio_range_aware,
             perimeter_entry,
-            alive,
-        );
-        if self.entries.len() < self.config.capacity {
-            let mut entry = CacheEntry::default();
-            fill_entry(
-                &mut entry,
-                &mut self.pool,
-                scratch.grouping_ref(),
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            );
-            self.map.insert(fp, self.entries.len() as u32);
-            self.entries.push(entry);
+        };
+        let fp = inputs.fingerprint();
+        let slot = self.map.get(&fp).copied();
+        match slot {
+            Some(slot) => {
+                let entry = &self.entries[slot as usize];
+                if !inputs.matches(entry) {
+                    self.stats.fallbacks += 1;
+                } else if serves_view(entry, alive) {
+                    self.stats.hits += 1;
+                    inputs.serve(entry, scratch, alive, self.config.paranoid);
+                    return scratch.grouping_ref();
+                } else {
+                    self.stats.misses += 1;
+                }
+            }
+            None => self.stats.misses += 1,
+        }
+        inputs.compute(scratch, alive);
+        match slot {
+            // One entry per fingerprint: the decision it could not serve
+            // is replaced in place.
+            Some(slot) => inputs.fill(&mut self.entries[slot as usize], &mut self.pool, scratch),
+            None if self.entries.len() < self.config.capacity => {
+                let mut entry = CacheEntry::default();
+                inputs.fill(&mut entry, &mut self.pool, scratch);
+                self.map.insert(fp, self.entries.len() as u32);
+                self.entries.push(entry);
+            }
+            None => {}
         }
         scratch.grouping_ref()
     }
-}
-
-/// The lookup fingerprint: topology id, node id, flag, perimeter-entry
-/// bits, destination ids and dead-neighbor ids mixed into 64 bits. It
-/// reads no node position. Only a probe — every served decision is re-verified
-/// against exact inputs. Shared by [`TreeCache`] and
-/// [`ConcurrentTreeCache`] so a private and a shared cache agree on
-/// which probe a decision lands under.
-fn fingerprint(
-    topo: &Topology,
-    node: NodeId,
-    dests: &[NodeId],
-    radio_range_aware: bool,
-    perimeter_entry: Option<Point>,
-    alive: Option<&[bool]>,
-) -> u64 {
-    let mut h = mix(0x9e37_79b9_7f4a_7c15, topo.id());
-    h = mix(h, node.0 as u64);
-    h = mix(h, radio_range_aware as u64);
-    match perimeter_entry {
-        Some(e) => {
-            h = mix(h, 1);
-            h = mix(h, e.x.to_bits());
-            h = mix(h, e.y.to_bits());
-        }
-        None => h = mix(h, 2),
-    }
-    for &d in dests {
-        h = mix(h, d.0 as u64);
-    }
-    // Dead ids are tagged above the 32-bit id range, so an id probes
-    // differently as a dead neighbor than as one more destination.
-    for n in dead_neighbors(topo, node, alive) {
-        h = mix(h, 1 << 32 | n.0 as u64);
-    }
-    // The low bits pick the bucket, but multiply-rotate mixing leaves them
-    // a function of mostly the inputs' low bits, and every input here is
-    // a small id: fold the high half down so full windows stay rare.
-    h ^ (h >> 32)
-}
-
-/// The exact-input validity check: `true` iff recomputing from these
-/// arguments is guaranteed to reproduce `entry.grouping` (the topology by
-/// id, every other input the decision reads compared directly).
-fn entry_matches(
-    entry: &CacheEntry,
-    topo: &Topology,
-    node: NodeId,
-    dests: &[NodeId],
-    radio_range_aware: bool,
-    perimeter_entry: Option<Point>,
-    alive: Option<&[bool]>,
-) -> bool {
-    entry.topo == topo.id()
-        && entry.node == node
-        && entry.rra == radio_range_aware
-        && entry_bits_eq(entry.perimeter_entry, perimeter_entry)
-        && entry.dests == dests
-        && dead_neighbors(topo, node, alive).eq(entry.dead_neighbors.iter().copied())
-}
-
-/// (Re)populates `entry` from the decision's exact inputs and freshly
-/// computed `grouping`, reusing its existing vectors.
-#[allow(clippy::too_many_arguments)]
-fn fill_entry(
-    entry: &mut CacheEntry,
-    pool: &mut Vec<Vec<NodeId>>,
-    grouping: &Grouping,
-    topo: &Topology,
-    node: NodeId,
-    dests: &[NodeId],
-    radio_range_aware: bool,
-    perimeter_entry: Option<Point>,
-    alive: Option<&[bool]>,
-) {
-    entry.topo = topo.id();
-    entry.node = node;
-    entry.rra = radio_range_aware;
-    entry.perimeter_entry = perimeter_entry;
-    entry.dests.clear();
-    entry.dests.extend_from_slice(dests);
-    entry.dead_neighbors.clear();
-    entry
-        .dead_neighbors
-        .extend(dead_neighbors(topo, node, alive));
-    copy_grouping_into(grouping, &mut entry.grouping, pool);
 }
 
 /// Probe window width of [`ConcurrentTreeCache`]: a fingerprint may land
@@ -561,12 +558,12 @@ struct PublishedEntry {
 ///
 /// # Why sharing cannot change outcomes
 ///
-/// Served entries pass the same [`entry_matches`] exact-input
-/// verification as the private cache: the topology is matched by id and
-/// every other input the decision reads is compared exactly before the
-/// stored grouping is served, so a hit is
-/// *proven* equal to recomputation no matter which thread published the
-/// entry or when. The only cross-thread effect is whether a given lookup
+/// Served entries pass the same exact-input and liveness-validity checks
+/// as the private cache: the topology is matched by id, every other input
+/// is compared exactly, and the view must keep the entry's next hops
+/// alive and its blockers dead before the stored grouping is served, so a
+/// hit is *proven* equal to recomputation no matter which thread
+/// published the entry or when. The only cross-thread effect is whether a given lookup
 /// is a hit or a recompute — two paths that are bit-identical by the
 /// cache's core contract (pinned by `cache_parity`).
 ///
@@ -672,9 +669,16 @@ impl ConcurrentTreeCache {
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
     ) -> &'a Grouping {
-        let fp = fingerprint(topo, node, dests, radio_range_aware, perimeter_entry, alive);
+        let inputs = Inputs {
+            topo,
+            node,
+            dests,
+            rra: radio_range_aware,
+            perimeter_entry,
+        };
+        let fp = inputs.fingerprint();
         let base = fp as usize & self.mask;
-        let mut stale = false;
+        let mut collided = false;
         for way in 0..WAYS {
             let Some(published) = self.slots[(base + way) & self.mask].get() else {
                 continue;
@@ -682,78 +686,41 @@ impl ConcurrentTreeCache {
             if published.fp != fp {
                 continue;
             }
-            if entry_matches(
-                &published.entry,
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            ) {
+            if !inputs.matches(&published.entry) {
+                // Same fingerprint, different inputs: a hash collision.
+                collided = true;
+            } else if serves_view(&published.entry, alive) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.config.paranoid {
-                    scratch.group_destinations_into(
-                        topo,
-                        node,
-                        dests,
-                        radio_range_aware,
-                        perimeter_entry,
-                        alive,
-                    );
-                    assert_eq!(
-                        scratch.grouping_ref(),
-                        &published.entry.grouping,
-                        "paranoid shared-cache check failed at node {node} for {dests:?}"
-                    );
-                } else {
-                    scratch.load_grouping(&published.entry.grouping);
-                }
+                inputs.serve(&published.entry, scratch, alive, self.config.paranoid);
                 return scratch.grouping_ref();
             }
-            // Same fingerprint, different exact inputs (a hash
-            // collision). Immutable entries can't be replaced, so this
-            // probe recomputes; the corrected decision may still land in
-            // a later way of the window.
-            stale = true;
+            // Otherwise the same inputs under a view this entry does not
+            // serve; a later way may hold one that does.
         }
 
-        if stale {
+        if collided {
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        scratch.group_destinations_into(
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        );
+        inputs.compute(scratch, alive);
 
-        // Publish into the first empty way. A resident entry that holds
-        // *this* decision (same fingerprint and exact inputs — e.g. a
-        // racing publisher beat us) ends the walk; a same-fingerprint
-        // collision does not, so the corrected decision can land in a
-        // later way where the probe loop will find it.
-        let this_entry_resident = |resident: &PublishedEntry| {
+        // Publish into the first empty way. Immutable entries can't be
+        // replaced, so the walk passes over every resident entry except
+        // one that already serves this decision (same fingerprint and
+        // inputs, valid under this view — e.g. a racing publisher beat
+        // us), which ends it. The new entry lands in a later way, where
+        // the probe loop will find it.
+        let serves_this = |resident: &PublishedEntry| {
             resident.fp == fp
-                && entry_matches(
-                    &resident.entry,
-                    topo,
-                    node,
-                    dests,
-                    radio_range_aware,
-                    perimeter_entry,
-                    alive,
-                )
+                && inputs.matches(&resident.entry)
+                && serves_view(&resident.entry, alive)
         };
         let mut boxed: Option<Box<PublishedEntry>> = None;
         for way in 0..WAYS {
             let slot = &self.slots[(base + way) & self.mask];
             if let Some(resident) = slot.get() {
-                if this_entry_resident(resident) {
+                if serves_this(resident) {
                     break;
                 }
                 continue;
@@ -763,24 +730,13 @@ impl ConcurrentTreeCache {
                     fp,
                     entry: CacheEntry::default(),
                 });
-                let mut pool = Vec::new();
-                fill_entry(
-                    &mut published.entry,
-                    &mut pool,
-                    scratch.grouping_ref(),
-                    topo,
-                    node,
-                    dests,
-                    radio_range_aware,
-                    perimeter_entry,
-                    alive,
-                );
+                inputs.fill(&mut published.entry, &mut Vec::new(), scratch);
                 published
             });
             match slot.set(candidate) {
                 Ok(()) => break,
                 Err(lost) => {
-                    if slot.get().is_some_and(|winner| this_entry_resident(winner)) {
+                    if slot.get().is_some_and(|winner| serves_this(winner)) {
                         break;
                     }
                     boxed = Some(lost);
@@ -946,8 +902,8 @@ mod tests {
             some_dead[n.index()] = false;
         }
 
-        // Warm with the all-alive view; `None` must then hit (normalized
-        // liveness), and the dead view must recompute, not serve.
+        // Warm with the all-alive view; `None` must then hit (the entry
+        // has no blockers), and the dead view must recompute, not serve.
         let warm = cache
             .group_destinations_cached(
                 &mut scratch,
@@ -986,19 +942,26 @@ mod tests {
             "dead-neighbor decision must be recomputed, never served stale"
         );
         assert!(dead_view.covered.is_empty(), "all neighbors are dead");
-        // Either probe shape is fine (miss under a new fingerprint or
-        // fallback under the old); a stale hit is not.
-        assert_eq!(cache.stats().hits, 1);
+        // The all-alive entry's next hops are dead here: a miss, and the
+        // recomputed decision replaces the one entry for these inputs.
+        let counts = |cache: &TreeCache| {
+            let s = cache.stats();
+            (s.hits, s.misses, s.fallbacks, s.entries_live)
+        };
+        assert_eq!(counts(&cache), (1, 2, 0, 1));
 
-        // And the original view still resolves correctly afterwards.
+        // The all-dead entry's blockers are alive under `None`, so the
+        // original view is recomputed too, and replaces it back.
         let again = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
             .clone();
         assert_eq!(again, warm);
-        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(counts(&cache), (1, 3, 0, 1));
 
         // Two views with one dead neighbor each, but different ones: the
-        // second must be recomputed, not served the first's grouping.
+        // second must be recomputed, not served the first's grouping. The
+        // first kills the stored entry's first next hop; its own entry
+        // then carries that hop as a blocker, alive in the second.
         let [first, second] = one_dead_views(&topo, node, &warm);
         let expect = [&first, &second].map(|view| direct(&topo, node, &dests, Some(view)));
         assert_ne!(expect[0], expect[1]);
@@ -1016,7 +979,11 @@ mod tests {
                 .clone();
             assert_eq!(&got, expect);
         }
-        assert_eq!(cache.stats().hits, 2, "no view is served another's entry");
+        assert_eq!(
+            counts(&cache),
+            (1, 5, 0, 1),
+            "no view is served another's entry"
+        );
     }
 
     #[test]
@@ -1249,7 +1216,7 @@ mod tests {
         let none_view = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
             .clone();
-        assert_eq!(warm, none_view, "normalized liveness must share the entry");
+        assert_eq!(warm, none_view, "an entry without blockers serves `None`");
         assert_eq!(cache.stats().hits, 1);
 
         let dead_view = cache
@@ -1271,7 +1238,8 @@ mod tests {
         assert_eq!(dead_view, expect_dead, "dead view must be recomputed");
         assert_eq!(cache.stats().hits, 1);
 
-        // Both variants are now resident under their own fingerprints.
+        // Both variants are now resident in one window, each serving its
+        // own view.
         let again_alive = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
             .clone();
@@ -1290,8 +1258,11 @@ mod tests {
         assert_eq!(again_dead, expect_dead);
         assert_eq!(cache.stats().hits, 3);
 
-        // Two views with one dead neighbor each, but different ones: each
-        // is recomputed, then both are resident under their own entries.
+        // Two views with one dead neighbor each, but different ones. The
+        // first kills the all-alive entry's first next hop, so it is
+        // recomputed and published, then hits in the second round. The
+        // second kills a neighbor no group uses, which blocks nothing: the
+        // all-alive entry serves it in both rounds.
         let [first, second] = one_dead_views(&topo, node, &warm);
         let expect = [&first, &second].map(|view| direct(&topo, node, &dests, Some(view)));
         assert_ne!(expect[0], expect[1]);
@@ -1311,7 +1282,17 @@ mod tests {
                 assert_eq!(&got, expect, "round {round}");
             }
         }
-        assert_eq!(cache.stats().hits, 3 + 2, "only the second round hits");
+        let stats = cache.stats();
+        assert_eq!(
+            (
+                stats.hits,
+                stats.misses,
+                stats.fallbacks,
+                stats.entries_live
+            ),
+            (3 + 3, 3, 0, 3),
+            "all but the first view's first lookup hit"
+        );
     }
 
     #[test]

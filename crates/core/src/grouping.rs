@@ -47,6 +47,9 @@ pub struct DecisionScratch {
     /// Emptied destination vectors recycled between decisions so covered
     /// groups never reallocate in steady state.
     group_pool: Vec<Vec<NodeId>>,
+    /// The last decision's blockers over all its next-hop calls, each with
+    /// its squared distance to that call's pivot (see [`next_hop`]).
+    blockers: Vec<(f64, NodeId)>,
     /// The previous decision's output, recycled on the next call.
     grouping: Grouping,
 }
@@ -62,6 +65,7 @@ impl Default for DecisionScratch {
             walk: Vec::new(),
             candidate: Vec::new(),
             group_pool: Vec::new(),
+            blockers: Vec::new(),
             grouping: Grouping::default(),
         }
     }
@@ -78,9 +82,9 @@ impl DecisionScratch {
     /// function; in steady state the call performs zero allocations.
     /// `alive` is the optional per-node liveness view under an active
     /// fault plan (see `gmp_sim::NodeContext::alive`): dead neighbors are
-    /// skipped as next-hop candidates, exactly as a beacon-timeout
-    /// neighbor table would drop them. `None` (or an all-`true` slice)
-    /// leaves every decision bit-identical to the fault-free path.
+    /// never next hops, exactly as a beacon-timeout neighbor table would
+    /// drop them. `None` (or an all-`true` slice) leaves every decision
+    /// bit-identical to the fault-free path.
     pub fn group_destinations_into(
         &mut self,
         topo: &Topology,
@@ -96,6 +100,7 @@ impl DecisionScratch {
             self.group_pool.push(g.dests);
         }
         self.grouping.voids.clear();
+        self.blockers.clear();
 
         debug_assert!(!dests.contains(&node), "self must be stripped first");
         let here = topo.pos(node);
@@ -134,13 +139,14 @@ impl DecisionScratch {
                 self.candidate
                     .extend(self.terminal_idx.iter().map(|&i| dests[i]));
                 let pivot_pos = tree.pos(pivot);
-                if let Some(n) = find_next_hop(
+                if let Some(n) = next_hop(
                     topo,
                     node,
                     pivot_pos,
                     &self.candidate,
                     perimeter_entry,
                     alive,
+                    &mut self.blockers,
                 ) {
                     let mut group = self.group_pool.pop().unwrap_or_default();
                     group.extend_from_slice(&self.candidate);
@@ -188,6 +194,14 @@ impl DecisionScratch {
     /// Read access to the last decision, for the cache's store path.
     pub(crate) fn grouping_ref(&self) -> &Grouping {
         &self.grouping
+    }
+
+    /// The last decision's blockers: the dead neighbors that some
+    /// next-hop call would have picked ahead of its result. The decision
+    /// is reproduced under any view that keeps every chosen next hop
+    /// alive and every blocker dead (the proof is in `cache.rs`).
+    pub(crate) fn blockers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.blockers.iter().map(|&(_, n)| n)
     }
 
     /// Replaces the last decision with a copy of `src`, recycling the
@@ -265,7 +279,7 @@ pub fn group_destinations(
 /// recovering from perimeter mode, on the entry point's — see
 /// [`group_destinations`]), or `None` when the group is void from here.
 /// Neighbors marked dead in the optional `alive` view are never
-/// candidates (a beacon-timeout neighbor table would have dropped them).
+/// chosen (a beacon-timeout neighbor table would have dropped them).
 pub fn find_next_hop(
     topo: &Topology,
     node: NodeId,
@@ -274,32 +288,54 @@ pub fn find_next_hop(
     perimeter_entry: Option<Point>,
     alive: Option<&[bool]>,
 ) -> Option<NodeId> {
+    next_hop(
+        topo,
+        node,
+        pivot_pos,
+        group,
+        perimeter_entry,
+        alive,
+        &mut Vec::new(),
+    )
+}
+
+/// [`find_next_hop`], also appending the call's *blockers* to `blockers`:
+/// the dead neighbors that pass the improvement test and rank ahead of
+/// the result (closer to the pivot, or as close and earlier in the row),
+/// each with its squared distance to the pivot. With no result, every
+/// dead passer is a blocker. Appends nothing without a view, so the
+/// public wrapper's empty vector never allocates there.
+fn next_hop(
+    topo: &Topology,
+    node: NodeId,
+    pivot_pos: Point,
+    group: &[NodeId],
+    perimeter_entry: Option<Point>,
+    alive: Option<&[bool]>,
+    blockers: &mut Vec<(f64, NodeId)>,
+) -> Option<NodeId> {
     let here = topo.pos(node);
     let total_from = |p: Point| -> f64 { group.iter().map(|&v| p.dist(topo.pos(v))).sum() };
     let mut bound = total_from(here);
     if let Some(entry) = perimeter_entry {
         bound = bound.min(total_from(entry));
     }
-    // Equivalent to `neighbors.filter(total < bound − EPS).min_by(dist²
-    // to pivot)` but with two exact short-circuits. A neighbor at least as
-    // far from the pivot as the current best passer can never be selected
-    // (`min_by` keeps the first of equals, and dist² is never NaN or
-    // −0.0), so its improvement test is skipped entirely. The test itself
-    // bails at the first running partial ≥ the cutoff: the partials of a
-    // nonnegative left-to-right sum are nondecreasing even after rounding,
-    // so the full total — the same fl sum the filter would compare — is
-    // too. Both cuts leave the selected neighbor bit-identical.
+    // Equivalent to `alive neighbors.filter(total < bound − EPS).min_by(
+    // dist² to pivot)` but with two exact short-circuits. A neighbor at
+    // least as far from the pivot as the current best alive passer can
+    // never be selected (`min_by` keeps the first of equals, and dist² is
+    // never NaN or −0.0), so its improvement test is skipped entirely. The
+    // test itself bails at the first running partial ≥ the cutoff: the
+    // partials of a nonnegative left-to-right sum are nondecreasing even
+    // after rounding, so the full total — the same fl sum the filter
+    // would compare — is too. Both cuts leave the selected neighbor
+    // bit-identical. Dead neighbors take the same test but never touch
+    // `best`, so alive ones see exactly the comparisons they would
+    // without them, and an all-true view is bit-identical to `None`.
     let cutoff = bound - gmp_geom::EPS;
+    let first_blocker = blockers.len();
     let mut best: Option<(f64, NodeId)> = None;
     'neighbors: for &n in topo.neighbors(node) {
-        // Liveness filter first — before any float work, so an all-true
-        // view is bit-identical to `None` (the zero-fault parity
-        // contract).
-        if let Some(a) = alive {
-            if !a[n.index()] {
-                continue;
-            }
-        }
         let p = topo.pos(n);
         let d2 = p.dist_sq(pivot_pos);
         if let Some((best_d2, _)) = best {
@@ -314,7 +350,25 @@ pub fn find_next_hop(
                 continue 'neighbors;
             }
         }
+        if alive.is_some_and(|a| !a[n.index()]) {
+            blockers.push((d2, n));
+            continue;
+        }
         best = Some((d2, n));
+    }
+    // A dead passer recorded while an earlier, farther best stood may
+    // rank behind the final result: only those at most as far block it.
+    // One as far and recorded first comes earlier in the row, so it ranks
+    // ahead; one as far after the result was never recorded.
+    if let Some((best_d2, _)) = best {
+        let mut kept = first_blocker;
+        for i in first_blocker..blockers.len() {
+            if blockers[i].0 <= best_d2 {
+                blockers[kept] = blockers[i];
+                kept += 1;
+            }
+        }
+        blockers.truncate(kept);
     }
     best.map(|(_, n)| n)
 }
@@ -322,6 +376,7 @@ pub fn find_next_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheConfig, TreeCache};
     use gmp_geom::Aabb;
     use gmp_net::TopologyConfig;
 
@@ -476,6 +531,101 @@ mod tests {
             .clone();
         assert!(g.covered.is_empty());
         assert_eq!(g.voids, vec![NodeId(3)]);
+    }
+
+    #[test]
+    fn equal_distance_blockers_follow_row_order() {
+        // Neighbors 1 and 2 mirror each other about the line from node 0
+        // to the pivot (dest 3), so their squared distances to the pivot
+        // are equal and both improve: with both alive, the earlier one in
+        // the row (1) wins the tie.
+        let positions = vec![
+            Point::new(0.0, 0.0),     // node 0
+            Point::new(100.0, 30.0),  // neighbor 1
+            Point::new(100.0, -30.0), // neighbor 2, its mirror image
+            Point::new(500.0, 0.0),   // dest 3, the pivot
+        ];
+        let topo = topo_from(positions, 150.0);
+        assert_eq!(topo.neighbors(NodeId(0)), &[NodeId(1), NodeId(2)]);
+        let pivot = Point::new(500.0, 0.0);
+        assert_eq!(
+            topo.pos(NodeId(1)).dist_sq(pivot),
+            topo.pos(NodeId(2)).dist_sq(pivot)
+        );
+        let all_alive = [true; 4];
+        let decide = |scratch: &mut DecisionScratch, alive: &[bool]| {
+            let g = scratch
+                .group_destinations_into(&topo, NodeId(0), &[NodeId(3)], true, None, Some(alive))
+                .clone();
+            let blockers: Vec<NodeId> = scratch.blockers().collect();
+            (g.covered[0].next_hop, blockers)
+        };
+        let mut scratch = DecisionScratch::new();
+        assert_eq!(decide(&mut scratch, &all_alive), (NodeId(1), vec![]));
+
+        // Kill the earlier one: the later one is chosen, and the dead one
+        // ranks ahead of it, so it blocks. The entry is refused under the
+        // all-alive view, where 1 would win again.
+        let first_dead = [true, false, true, true];
+        assert_eq!(
+            decide(&mut scratch, &first_dead),
+            (NodeId(2), vec![NodeId(1)])
+        );
+        let lookup = |cache: &mut TreeCache, alive: &[bool]| {
+            cache
+                .group_destinations_cached(
+                    &mut DecisionScratch::new(),
+                    &topo,
+                    NodeId(0),
+                    &[NodeId(3)],
+                    true,
+                    None,
+                    Some(alive),
+                )
+                .covered[0]
+                .next_hop
+        };
+        let mut cache = TreeCache::with_config(CacheConfig::default());
+        assert_eq!(lookup(&mut cache, &first_dead), NodeId(2));
+        assert_eq!(lookup(&mut cache, &all_alive), NodeId(1));
+        assert_eq!(cache.stats().hits, 0, "a live blocker refuses the entry");
+
+        // Kill the later one: 1 still wins, and 2 — as close but later in
+        // the row — never blocks it, so the all-alive view is served.
+        let second_dead = [true, true, false, true];
+        assert_eq!(decide(&mut scratch, &second_dead), (NodeId(1), vec![]));
+        let mut cache = TreeCache::with_config(CacheConfig::default());
+        assert_eq!(lookup(&mut cache, &second_dead), NodeId(1));
+        assert_eq!(lookup(&mut cache, &all_alive), NodeId(1));
+        assert_eq!(cache.stats().hits, 1, "nothing blocks the entry");
+    }
+
+    #[test]
+    fn dead_passers_behind_the_result_do_not_block() {
+        // Neighbor 1 improves but is farther from the pivot than neighbor
+        // 2, which comes later in the row. With 1 dead it is recorded
+        // while no best stands, then dropped once 2 wins: alive, it would
+        // have ranked behind 2, so the all-alive view is served.
+        let positions = vec![
+            Point::new(0.0, 0.0),    // node 0
+            Point::new(100.0, 60.0), // neighbor 1
+            Point::new(100.0, 0.0),  // neighbor 2, closer to the pivot
+            Point::new(500.0, 0.0),  // dest 3, the pivot
+        ];
+        let topo = topo_from(positions, 150.0);
+        let mut scratch = DecisionScratch::new();
+        let g = scratch
+            .group_destinations_into(
+                &topo,
+                NodeId(0),
+                &[NodeId(3)],
+                true,
+                None,
+                Some(&[true, false, true, true]),
+            )
+            .clone();
+        assert_eq!(g.covered[0].next_hop, NodeId(2));
+        assert_eq!(scratch.blockers().count(), 0);
     }
 
     #[test]

@@ -20,12 +20,43 @@
 //!   [`fermat_point`] for the case analysis).
 
 use crate::point::Point;
-use crate::predicates::{angle_at, orientation, Orientation};
+use crate::predicates::{orientation, Orientation};
 use crate::EPS;
 
 /// Interior angle threshold above which the Fermat point collapses onto a
 /// vertex: 120° in radians.
 pub const FERMAT_ANGLE: f64 = 2.0 * std::f64::consts::FRAC_PI_3;
+
+/// The band of cosines around `cos(FERMAT_ANGLE - EPS)` ≈
+/// −0.499 999 133 974 346 inside which [`wide_at`] falls back to `acos`.
+/// Each literal sits about 1e-12 from that cosine (0.95e-12 below,
+/// 1.05e-12 above). `acos`'s slope there is about −1.15, so a cosine
+/// outside the band is an angle more than 1.1e-12 rad from the threshold,
+/// and libm's `acos` errs by under 1e-15 rad: `acos(c) >= FERMAT_ANGLE -
+/// EPS` cannot come out differently from the cosine comparison.
+const WIDE_COS_BELOW: f64 = -0.499_999_133_975_3;
+const WIDE_COS_ABOVE: f64 = -0.499_999_133_973_3;
+
+/// `angle_at(apex, a, b) >= FERMAT_ANGLE - EPS`, decided from the cosine
+/// that `angle_at` takes the `acos` of: the same norms, dot product and
+/// clamp, and the same near-zero guard (angle 0, so `false`). `acos` runs
+/// only for a cosine inside the `WIDE_COS_*` band, so the answer is
+/// bit-for-bit `angle_at`'s, and every Fermat point with it.
+fn wide_at(apex: Point, a: Point, b: Point) -> bool {
+    let (u, v) = (a - apex, b - apex);
+    let d = u.norm() * v.norm();
+    if d <= EPS * EPS {
+        return false;
+    }
+    let c = (u.dot(v) / d).clamp(-1.0, 1.0);
+    if c < WIDE_COS_BELOW {
+        true
+    } else if c > WIDE_COS_ABOVE {
+        false
+    } else {
+        c.acos() >= FERMAT_ANGLE - EPS
+    }
+}
 
 /// How the Fermat point relates to the input triangle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,19 +146,19 @@ pub fn fermat_point(a: Point, b: Point, c: Point) -> FermatPoint {
     }
 
     // Obtuse-beyond-120° rule.
-    if angle_at(a, b, c) >= FERMAT_ANGLE - EPS {
+    if wide_at(a, b, c) {
         return FermatPoint {
             location: a,
             kind: FermatKind::AtVertex(0),
         };
     }
-    if angle_at(b, a, c) >= FERMAT_ANGLE - EPS {
+    if wide_at(b, a, c) {
         return FermatPoint {
             location: b,
             kind: FermatKind::AtVertex(1),
         };
     }
-    if angle_at(c, a, b) >= FERMAT_ANGLE - EPS {
+    if wide_at(c, a, b) {
         return FermatPoint {
             location: c,
             kind: FermatKind::AtVertex(2),
@@ -249,8 +280,28 @@ pub fn weiszfeld(a: Point, b: Point, c: Point, iterations: usize) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicates::angle_at;
 
     const SQ3: f64 = 1.732_050_807_568_877_2;
+
+    #[test]
+    fn wide_cosine_band_brackets_the_threshold_cosine() {
+        // `rrstr_parity`'s replicas call this same `fermat_point`, so only
+        // this test and the `wide_at` proptest catch a wrong band.
+        let threshold = (FERMAT_ANGLE - EPS).cos();
+        assert!(
+            threshold - WIDE_COS_BELOW >= 5e-13,
+            "lower literal within {:e} of cos(threshold)",
+            threshold - WIDE_COS_BELOW
+        );
+        assert!(
+            WIDE_COS_ABOVE - threshold >= 5e-13,
+            "upper literal within {:e} of cos(threshold)",
+            WIDE_COS_ABOVE - threshold
+        );
+        // And the band is narrow: a wide one would only cost speed.
+        const { assert!(WIDE_COS_ABOVE - WIDE_COS_BELOW < 1e-11) };
+    }
 
     #[test]
     fn equilateral_fermat_is_centroid() {
@@ -476,6 +527,76 @@ mod proptests {
                 _ => (a, b, a - (b - a) * (1.0 + t * 0.1)),
             }
         })
+    }
+
+    /// Triangles whose angle at the first vertex is `center ± δ`, with δ
+    /// log-uniform in [1e-15, 1e-5] rad and `center` either 120° or the
+    /// collapse threshold 120° − EPS, where `wide_at` hands over to
+    /// `acos`. Below about 1e-13 rad the rounded coordinates set the
+    /// angle, which still lands inside the band.
+    fn near_threshold() -> impl Strategy<Value = (Point, Point, Point)> {
+        (
+            point(),
+            (0.0..std::f64::consts::TAU, 1.0..1000.0f64, 1.0..1000.0f64),
+            -15.0..-5.0f64,
+            prop_bool::ANY,
+            prop_bool::ANY,
+        )
+            .prop_map(|(apex, (theta, r1, r2), log_delta, above, at_threshold)| {
+                let center = if at_threshold {
+                    FERMAT_ANGLE - EPS
+                } else {
+                    FERMAT_ANGLE
+                };
+                let delta = 10f64.powf(log_delta);
+                let angle = if above {
+                    center + delta
+                } else {
+                    center - delta
+                };
+                let ray = |t: f64, r: f64| apex + crate::point::Vec2::new(t.cos(), t.sin()) * r;
+                (apex, ray(theta, r1), ray(theta + angle, r2))
+            })
+    }
+
+    /// `wide_at` against its reference, `angle_at(..) >= FERMAT_ANGLE -
+    /// EPS`, at all three vertices in `fermat_point`'s argument order.
+    fn wide_matches_reference(a: Point, b: Point, c: Point) -> Result<(), TestCaseError> {
+        use crate::predicates::angle_at;
+        for (apex, p, q) in [(a, b, c), (b, a, c), (c, a, b)] {
+            prop_assert_eq!(
+                wide_at(apex, p, q),
+                angle_at(apex, p, q) >= FERMAT_ANGLE - EPS,
+                "apex {} of ({}, {}): angle {:e} rad from the threshold",
+                apex,
+                p,
+                q,
+                angle_at(apex, p, q) - (FERMAT_ANGLE - EPS)
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn wide_at_agrees_with_the_angle_on_random_triangles(
+            tris in proptest::collection::vec(triangle(), 1..64),
+        ) {
+            for (a, b, c) in tris {
+                wide_matches_reference(a, b, c)?;
+            }
+        }
+
+        #[test]
+        fn wide_at_agrees_with_the_angle_near_120_degrees(
+            tris in proptest::collection::vec(near_threshold(), 1..64),
+        ) {
+            for (a, b, c) in tris {
+                wide_matches_reference(a, b, c)?;
+            }
+        }
     }
 
     proptest! {

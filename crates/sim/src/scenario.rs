@@ -215,6 +215,9 @@ impl Scenario {
                     }
                     let v: Result<Vec<f64>, _> = rest.iter().map(|s| s.parse()).collect();
                     let v = v.map_err(|_| err(line_no, "bad area coordinate"))?;
+                    if !v.iter().all(|c| c.is_finite()) {
+                        return Err(err(line_no, "area coordinates must be finite"));
+                    }
                     area = Some(Aabb::new(Point::new(v[0], v[1]), Point::new(v[2], v[3])));
                 }
                 "radio_range" => {
@@ -224,8 +227,8 @@ impl Scenario {
                     let r: f64 = rest[0]
                         .parse()
                         .map_err(|_| err(line_no, "bad radio range"))?;
-                    if r.is_nan() || r <= 0.0 {
-                        return Err(err(line_no, "radio range must be positive"));
+                    if !(r.is_finite() && r > 0.0) {
+                        return Err(err(line_no, "radio range must be positive and finite"));
                     }
                     radio_range = Some(r);
                 }
@@ -239,6 +242,9 @@ impl Scenario {
                     }
                     let x: f64 = rest[1].parse().map_err(|_| err(line_no, "bad x"))?;
                     let y: f64 = rest[2].parse().map_err(|_| err(line_no, "bad y"))?;
+                    if !(x.is_finite() && y.is_finite()) {
+                        return Err(err(line_no, "node coordinates must be finite"));
+                    }
                     positions.push(Point::new(x, y));
                 }
                 "task" => {
@@ -479,6 +485,31 @@ mod tests {
                 "area 0 0 100 100\nradio_range 50\nnode 0 1 2\nbogus 1\n",
                 4,
                 "keyword",
+            ),
+            (
+                "area 0 0 nan 100\nradio_range 50\nnode 0 1 2\n",
+                1,
+                "finite",
+            ),
+            (
+                "area -inf 0 100 100\nradio_range 50\nnode 0 1 2\n",
+                1,
+                "finite",
+            ),
+            (
+                "area 0 0 100 100\nradio_range inf\nnode 0 1 2\n",
+                2,
+                "finite",
+            ),
+            (
+                "area 0 0 100 100\nradio_range 50\nnode 0 nan 1\n",
+                3,
+                "finite",
+            ),
+            (
+                "area 0 0 100 100\nradio_range 50\nnode 0 1 2\nnode 1 3 inf\n",
+                4,
+                "finite",
             ),
         ];
         for (text, line, needle) in cases {

@@ -108,6 +108,20 @@ fn cmd_generate(mut args: Vec<String>) -> Result<String, String> {
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}"));
     }
+    // A task draws k destinations plus a distinct source.
+    if !(1..nodes).contains(&k) {
+        return Err(format!(
+            "--k must be at least 1 and below --nodes ({nodes}), got {k}"
+        ));
+    }
+    if !(area.is_finite() && area > 0.0) {
+        return Err(format!("--area must be positive and finite, got {area}"));
+    }
+    if !(radio.is_finite() && radio > 0.0) {
+        return Err(format!(
+            "--radio-range must be positive and finite, got {radio}"
+        ));
+    }
     let config = SimConfig::paper()
         .with_area_side(area)
         .with_node_count(nodes)
@@ -311,6 +325,33 @@ mod tests {
         assert!(protocol_by_name("nope").is_err());
         let help = run_cli(&s(&["help"])).unwrap();
         assert!(help.contains("generate"));
+
+        // Generator arguments that used to panic or write a scenario the
+        // loader rejects: each is an error, and no file is written.
+        for (i, bad) in [
+            &["--nodes", "10", "--k", "50"][..],
+            &["--nodes", "10", "--k", "10"],
+            &["--nodes", "0", "--k", "1"],
+            &["--k", "0"],
+            &["--radio-range", "-5"],
+            &["--radio-range", "inf"],
+            &["--radio-range", "nan"],
+            &["--area", "0"],
+            &["--area", "nan"],
+            &["--area", "-inf"],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let out = tmp(&format!("rejected_{i}.txt"));
+            let _ = std::fs::remove_file(&out);
+            let mut args = s(&["generate"]);
+            args.extend(s(bad));
+            args.push(out.clone());
+            let e = run_cli(&args).unwrap_err();
+            assert!(e.contains(bad[0]), "{bad:?}: {e}");
+            assert!(!std::path::Path::new(&out).exists(), "{bad:?} wrote {out}");
+        }
     }
 
     #[test]
