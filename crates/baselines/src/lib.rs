@@ -26,7 +26,9 @@
 //!   (arXiv:0803.3632): guaranteed delivery via a single FACE-1 agent.
 //!
 //! All of them implement [`gmp_sim::Protocol`], so experiments treat them
-//! and GMP uniformly.
+//! and GMP uniformly. [`ProtocolKind`] is the one registry that names them
+//! all, GMP included: it parses the names the `gmp` CLI and the
+//! `experiments` harness accept and builds the router each one selects.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +42,7 @@ pub mod lgk;
 pub mod lgs;
 pub mod mcfr;
 pub mod pbm;
+pub mod protocols;
 pub mod smt;
 pub(crate) mod util;
 
@@ -50,4 +53,5 @@ pub use lgk::LgkRouter;
 pub use lgs::LgsRouter;
 pub use mcfr::McfrRouter;
 pub use pbm::{PbmConfig, PbmRouter};
+pub use protocols::ProtocolKind;
 pub use smt::SmtRouter;

@@ -1,15 +1,21 @@
-//! A uniform factory over every protocol in the evaluation.
+//! The one name → router registry: every protocol in the evaluation,
+//! parsed from and displayed as the names the `gmp` CLI, the
+//! `experiments` harness and their tables share.
 
-use gmp_baselines::{
-    DsmRouter, GrdRouter, GvgRouter, LgkRouter, LgsRouter, McfrRouter, PbmRouter, SmtRouter,
-};
+use std::fmt;
+use std::str::FromStr;
+
 use gmp_core::GmpRouter;
 use gmp_net::Topology;
 use gmp_sim::{MulticastTask, Protocol, SimConfig, TaskReport, TaskRunner};
 
+use crate::{
+    DsmRouter, GrdRouter, GvgRouter, LgkRouter, LgsRouter, McfrRouter, PbmRouter, SmtRouter,
+};
+
 /// The λ values the paper sweeps for PBM ("we have run the same routing
 /// task seven times, with the value of λ varying from 0 to 0.6").
-pub const PBM_LAMBDAS: [f64; 7] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
+const PBM_LAMBDAS: [f64; 7] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
 
 /// Which protocol to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,43 +46,75 @@ pub enum ProtocolKind {
     Gvg,
 }
 
-impl ProtocolKind {
-    /// The display label used in tables and CSV headers.
-    pub fn label(&self) -> String {
+/// Every kind a name selects, in the order error messages list them.
+/// `PBM` and `LGK` name their default parameterizations.
+const NAMED: [(&str, ProtocolKind); 10] = [
+    ("gmp", ProtocolKind::Gmp),
+    ("gmpnr", ProtocolKind::GmpNr),
+    ("pbm", ProtocolKind::PbmBest),
+    ("lgs", ProtocolKind::Lgs),
+    ("lgk", ProtocolKind::Lgk(2)),
+    ("grd", ProtocolKind::Grd),
+    ("dsm", ProtocolKind::Dsm),
+    ("smt", ProtocolKind::Smt),
+    ("mcfr", ProtocolKind::Mcfr),
+    ("gvg", ProtocolKind::Gvg),
+];
+
+/// A name [`ProtocolKind::from_str`] does not know. Its message lists the
+/// names it does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownProtocol(String);
+
+impl fmt::Display for UnknownProtocol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown protocol `{}` (expected ", self.0)?;
+        for (i, (name, _)) in NAMED.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "|" };
+            write!(f, "{sep}{name}")?;
+        }
+        f.write_str(")")
+    }
+}
+
+impl std::error::Error for UnknownProtocol {}
+
+/// Parses a protocol name, case-insensitively and ignoring surrounding
+/// whitespace: `gmp`, `gmpnr`, `pbm`, `lgs`, `lgk`, `grd`, `dsm`, `smt`,
+/// `mcfr` or `gvg`.
+impl FromStr for ProtocolKind {
+    type Err = UnknownProtocol;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let name = s.trim();
+        NAMED
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|&(_, kind)| kind)
+            .ok_or_else(|| UnknownProtocol(name.to_ascii_lowercase()))
+    }
+}
+
+/// The label used in tables, CSV headers and `BENCH_6.json`.
+impl fmt::Display for ProtocolKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolKind::Gmp => "GMP".into(),
-            ProtocolKind::GmpNr => "GMPnr".into(),
-            ProtocolKind::Pbm(l) => format!("PBM(λ={l})"),
-            ProtocolKind::PbmBest => "PBM".into(),
-            ProtocolKind::Lgs => "LGS".into(),
-            ProtocolKind::Lgk(k) => format!("LGK(k={k})"),
-            ProtocolKind::Grd => "GRD".into(),
-            ProtocolKind::Dsm => "DSM".into(),
-            ProtocolKind::Smt => "SMT".into(),
-            ProtocolKind::Mcfr => "MCFR".into(),
-            ProtocolKind::Gvg => "GVG".into(),
+            ProtocolKind::Gmp => f.write_str("GMP"),
+            ProtocolKind::GmpNr => f.write_str("GMPnr"),
+            ProtocolKind::Pbm(l) => write!(f, "PBM(λ={l})"),
+            ProtocolKind::PbmBest => f.write_str("PBM"),
+            ProtocolKind::Lgs => f.write_str("LGS"),
+            ProtocolKind::Lgk(k) => write!(f, "LGK(k={k})"),
+            ProtocolKind::Grd => f.write_str("GRD"),
+            ProtocolKind::Dsm => f.write_str("DSM"),
+            ProtocolKind::Smt => f.write_str("SMT"),
+            ProtocolKind::Mcfr => f.write_str("MCFR"),
+            ProtocolKind::Gvg => f.write_str("GVG"),
         }
     }
+}
 
-    /// Parses a user-facing protocol token (the `--protocols` filter
-    /// flag): the label, case-insensitively, with `LGK`/`PBM` accepting
-    /// their parameterless spellings.
-    pub fn from_token(token: &str) -> Option<ProtocolKind> {
-        match token.trim().to_ascii_uppercase().as_str() {
-            "GMP" => Some(ProtocolKind::Gmp),
-            "GMPNR" => Some(ProtocolKind::GmpNr),
-            "PBM" => Some(ProtocolKind::PbmBest),
-            "LGS" => Some(ProtocolKind::Lgs),
-            "LGK" => Some(ProtocolKind::Lgk(2)),
-            "GRD" => Some(ProtocolKind::Grd),
-            "DSM" => Some(ProtocolKind::Dsm),
-            "SMT" => Some(ProtocolKind::Smt),
-            "MCFR" => Some(ProtocolKind::Mcfr),
-            "GVG" => Some(ProtocolKind::Gvg),
-            _ => None,
-        }
-    }
-
+impl ProtocolKind {
     /// Instantiates a fresh router (protocols are cheap to build; SMT
     /// computes its tree lazily per task).
     pub fn build(&self) -> Box<dyn Protocol> {
@@ -147,7 +185,7 @@ mod tests {
             ProtocolKind::Mcfr,
             ProtocolKind::Gvg,
         ];
-        let labels: Vec<String> = kinds.iter().map(|k| k.label()).collect();
+        let labels: Vec<String> = kinds.iter().map(|k| k.to_string()).collect();
         for l in &labels {
             assert!(!l.is_empty());
         }
@@ -155,6 +193,12 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len());
+        // Every parameterless kind parses back from its own label.
+        for kind in kinds {
+            if !matches!(kind, ProtocolKind::Pbm(_) | ProtocolKind::Lgk(_)) {
+                assert_eq!(kind.to_string().parse(), Ok(kind));
+            }
+        }
     }
 
     #[test]
@@ -179,8 +223,7 @@ mod tests {
             let report = kind.run_task(&topo, &config, &task);
             assert!(
                 report.delivered_all(),
-                "{} failed {:?}",
-                kind.label(),
+                "{kind} failed {:?}",
                 report.failed_dests
             );
         }
@@ -199,18 +242,16 @@ mod tests {
             ProtocolKind::Mcfr,
             ProtocolKind::Gvg,
         ] {
-            assert_eq!(ProtocolKind::from_token(&kind.label()), Some(kind));
-            assert_eq!(
-                ProtocolKind::from_token(&kind.label().to_lowercase()),
-                Some(kind)
-            );
+            assert_eq!(kind.to_string().to_lowercase().parse(), Ok(kind));
+            assert_eq!(kind.to_string().to_uppercase().parse(), Ok(kind));
         }
+        assert_eq!(" lgk ".parse(), Ok(ProtocolKind::Lgk(2)));
+        let unknown = "Nope".parse::<ProtocolKind>().unwrap_err().to_string();
         assert_eq!(
-            ProtocolKind::from_token(" lgk "),
-            Some(ProtocolKind::Lgk(2))
+            unknown,
+            "unknown protocol `nope` (expected gmp|gmpnr|pbm|lgs|lgk|grd|dsm|smt|mcfr|gvg)"
         );
-        assert_eq!(ProtocolKind::from_token("nope"), None);
-        assert_eq!(ProtocolKind::from_token(""), None);
+        assert!("".parse::<ProtocolKind>().is_err());
     }
 
     #[test]

@@ -32,65 +32,27 @@
 //! or `all` for everything. Results are printed as tables and written as
 //! CSV (plus SVG charts for the figures) under `--out` (default
 //! `results/`). `--threads N` caps the worker pool (default: all cores).
-//! `--protocols GMP,MCFR,…` filters the `guarantees` panel (unknown tokens
+//! `--protocols GMP,MCFR,…` filters the `guarantees` panel (unknown names
 //! warn and are skipped; an empty selection falls back to the default).
 //!
-//! `bench` is different: it runs the fixed perf workload and writes
-//! `BENCH_1.json` (decisions/sec, tasks/sec, wall-clock, allocs/decision)
-//! under `--out` — the machine-readable perf trajectory described in
-//! EXPERIMENTS.md. Run it from a `--release` build.
-//!
-//! `scale` runs the million-node scale curve over the sharded lazy
-//! substrate and writes `BENCH_4.json` (per-task throughput, build time,
-//! and peak RSS at 1k/10k/100k/1M nodes; `--quick` stops at 10k).
-//!
-//! `service` runs the concurrent session engine (`gmp-service`) against
-//! back-to-back sequential runs of the identical session set and writes
-//! `BENCH_5.json` (sessions/s, decisions/s, p50/p99 session latency under
-//! churn; `--quick` runs the paper topology at 1k sessions).
+//! Every file a command writes is a function of its scale alone: the same
+//! command writes the same bytes at any `--threads`. Wall-clock times go to
+//! stderr. Performance is measured by the separate benchmark package
+//! (`benchmark/`), not here.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use gmp_baselines::ProtocolKind;
 use gmp_bench::chart::LineChart;
 use gmp_bench::experiments::{
     density_sweep, destination_sweep, loss_sweep, mac_tax, mobility_ablation, overhead_ablation,
     pbm_sensitivity, planar_ablation, power_ablation, range_sweep, set_worker_threads,
     tree_length_ablation, Scale, SweepRow,
 };
-use gmp_bench::protocols::ProtocolKind;
 use gmp_bench::table::{render_table, write_csv};
 use gmp_sim::SimConfig;
-
-/// Counts heap allocations so the `bench` command can report
-/// allocs/decision from a real run (the same metric the
-/// `alloc_free` integration test asserts to be zero). A relaxed
-/// fetch-add per allocation is noise for every other command.
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn sweep_protocols() -> Vec<ProtocolKind> {
     vec![
@@ -114,12 +76,12 @@ fn pivot(
     ks.dedup();
     let mut table = Vec::new();
     let mut header = vec!["k".to_string()];
-    header.extend(protocols.iter().map(|p| p.label()));
+    header.extend(protocols.iter().map(|p| p.to_string()));
     table.push(header);
     for k in ks {
         let mut line = vec![k.to_string()];
         for p in protocols {
-            let label = p.label();
+            let label = p.to_string();
             let cell = rows
                 .iter()
                 .find(|r| r.k == k && r.protocol == label)
@@ -141,23 +103,20 @@ struct Args {
     protocols: Option<Vec<ProtocolKind>>,
 }
 
-/// Parses the `--protocols` comma-separated token list with the same
-/// warn-and-default discipline as the environment knobs: unknown tokens
+/// Parses the `--protocols` comma-separated name list with the same
+/// warn-and-default discipline as the environment knobs: unknown names
 /// are reported on stderr and skipped, and a list that selects nothing
 /// falls back to the command's default panel.
 fn parse_protocol_filter(list: &str) -> Option<Vec<ProtocolKind>> {
     let mut kinds: Vec<ProtocolKind> = Vec::new();
     for token in list.split(',').filter(|t| !t.trim().is_empty()) {
-        match ProtocolKind::from_token(token) {
-            Some(kind) => {
+        match token.parse() {
+            Ok(kind) => {
                 if !kinds.contains(&kind) {
                     kinds.push(kind);
                 }
             }
-            None => eprintln!(
-                "warning: unknown protocol {token:?} in --protocols; ignoring it (known: \
-                 GMP, GMPnr, PBM, LGS, LGK, GRD, DSM, SMT, MCFR, GVG)"
-            ),
+            Err(e) => eprintln!("warning: {e} in --protocols; ignoring it"),
         }
     }
     if kinds.is_empty() {
@@ -264,7 +223,7 @@ fn run_sweep_figures(args: &Args, which: &[&str]) {
             title.split("— ").nth(1).unwrap_or("value"),
         );
         for p in &protocols {
-            let label = p.label();
+            let label = p.to_string();
             let pts: Vec<(f64, f64)> = rows
                 .iter()
                 .filter(|r| r.protocol == label)
@@ -331,7 +290,7 @@ fn run_fig15(args: &Args) {
         "failed tasks per 1000",
     );
     for proto in &protocols {
-        let label = proto.label();
+        let label = proto.to_string();
         let pts: Vec<(f64, f64)> = rows
             .iter()
             .filter(|r| r.protocol == label)
@@ -449,7 +408,6 @@ fn run_pbm_sensitivity(args: &Args) {
         "cands/dest".to_string(),
         "total hops".to_string(),
         "per-dest hops".to_string(),
-        "routing secs".to_string(),
     ]];
     for r in &rows {
         table.push(vec![
@@ -457,8 +415,12 @@ fn run_pbm_sensitivity(args: &Args) {
             r.candidates_per_dest.to_string(),
             format!("{:.2}", r.total_hops),
             format!("{:.2}", r.dest_hops),
-            format!("{:.2}", r.routing_seconds),
         ]);
+        // Wall-clock time differs run to run, so it stays out of the CSV.
+        eprintln!(
+            "|W| cap {}: {:.2} s routing",
+            r.max_subset_size, r.routing_seconds
+        );
     }
     println!(
         "\nAblation — PBM bounded-search sensitivity\n{}",
@@ -690,496 +652,6 @@ fn run_loss(args: &Args) {
     }
 }
 
-/// The fixed perf workload behind `BENCH_1.json`: steady-state forwarding
-/// decisions through one warmed [`gmp_core::DecisionScratch`] fronted by
-/// the [`gmp_core::TreeCache`] (the decision path as the router actually
-/// runs it), full multicast tasks through the simulator, and the
-/// allocation counter sampled around the decision loop.
-fn run_bench(args: &Args) {
-    use gmp_core::{DecisionScratch, TreeCache};
-    use gmp_net::Topology;
-    use gmp_sim::MulticastTask;
-
-    let wall_start = Instant::now();
-    let config = SimConfig::paper();
-    let topo = Topology::random(&config.topology_config(), 1);
-    let ks = [5usize, 15, 25];
-    let tasks: Vec<MulticastTask> = (0..30)
-        .map(|i| MulticastTask::random(&topo, ks[i % ks.len()], 100 + i as u64))
-        .collect();
-
-    // Per-hop decision throughput at the source, through the decision
-    // cache exactly as GmpRouter runs it. Two warm-up passes grow the
-    // scratch to its high-water capacities and populate the cache; the
-    // measured passes then serve verified hits allocation-free (the
-    // `alloc_free` test asserts exactly this).
-    eprintln!(
-        "bench: decision throughput over {} tasks, k ∈ {ks:?}…",
-        tasks.len()
-    );
-    let mut scratch = DecisionScratch::new();
-    let mut cache = TreeCache::new();
-    for _ in 0..2 {
-        for t in &tasks {
-            cache.group_destinations_cached(
-                &mut scratch,
-                &topo,
-                t.source,
-                &t.dests,
-                true,
-                None,
-                None,
-            );
-        }
-    }
-    let warm_stats = cache.stats();
-    let rounds = 300usize;
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let t0 = Instant::now();
-    let mut covered = 0usize;
-    for _ in 0..rounds {
-        for t in &tasks {
-            let g = cache.group_destinations_cached(
-                &mut scratch,
-                &topo,
-                t.source,
-                &t.dests,
-                true,
-                None,
-                None,
-            );
-            covered += g.covered.len();
-        }
-    }
-    let decision_secs = t0.elapsed().as_secs_f64();
-    let allocs_after = ALLOCS.load(Ordering::SeqCst);
-    let decisions = rounds * tasks.len();
-    let decisions_per_sec = decisions as f64 / decision_secs;
-    let allocs_per_decision = ratio((allocs_after - allocs_before) as f64, decisions as f64);
-    assert!(covered > 0, "decision workload routed nothing");
-    // Steady-state cache behaviour over the measured window only.
-    let end_stats = cache.stats();
-    let cache_hits = end_stats.hits - warm_stats.hits;
-    let cache_misses = end_stats.misses - warm_stats.misses;
-    let cache_fallbacks = end_stats.fallbacks - warm_stats.fallbacks;
-    let cache_evictions = end_stats.evictions - warm_stats.evictions;
-    let cache_epoch_flushes = end_stats.epoch_flushes - warm_stats.epoch_flushes;
-    let cache_pool_reused = end_stats.pool_reused - warm_stats.pool_reused;
-    let cache_entries_live = end_stats.entries_live;
-    let cache_hit_rate = ratio(cache_hits as f64, decisions as f64);
-
-    // End-to-end task throughput: the whole simulator loop (routing at
-    // every hop, delivery bookkeeping, energy accounting).
-    eprintln!("bench: end-to-end task throughput…");
-    let task_rounds = 10usize;
-    let t0 = Instant::now();
-    let mut delivered = 0usize;
-    for _ in 0..task_rounds {
-        for t in &tasks {
-            let report = ProtocolKind::Gmp.run_task(&topo, &config, t);
-            delivered += usize::from(report.delivered_all());
-        }
-    }
-    let task_secs = t0.elapsed().as_secs_f64();
-    let task_count = task_rounds * tasks.len();
-    let tasks_per_sec = task_count as f64 / task_secs;
-    assert!(delivered > 0, "task workload delivered nothing");
-
-    let wall_clock_s = wall_start.elapsed().as_secs_f64();
-    let peak_rss_fields = gmp_bench::rss::peak_rss_json_fields();
-    let json = format!(
-        "{{\n  \"schema\": \"gmp-bench/1\",\n  \"workload\": {{\n    \"nodes\": {},\n    \"topology_seed\": 1,\n    \"k_values\": [5, 15, 25],\n    \"decision_samples\": {decisions},\n    \"task_samples\": {task_count}\n  }},\n  \"decisions_per_sec\": {decisions_per_sec:.1},\n  \"tasks_per_sec\": {tasks_per_sec:.1},\n  \"wall_clock_s\": {wall_clock_s:.3},\n  \"allocs_per_decision\": {allocs_per_decision:.4},\n  {peak_rss_fields},\n  \"decision_cache\": {{\n    \"hits\": {cache_hits},\n    \"misses\": {cache_misses},\n    \"fallbacks\": {cache_fallbacks},\n    \"evictions\": {cache_evictions},\n    \"epoch_flushes\": {cache_epoch_flushes},\n    \"entries_live\": {cache_entries_live},\n    \"pool_reused\": {cache_pool_reused},\n    \"hit_rate\": {cache_hit_rate:.4}\n  }}\n}}\n",
-        config.node_count,
-    );
-    print!("{json}");
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("warning: could not create {}: {e}", args.out.display());
-    }
-    let path = args.out.join("BENCH_1.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-
-    run_bench2(args);
-}
-
-/// The event-loop workload behind `BENCH_2.json`: whole-task simulation
-/// throughput at the paper scale (1000 nodes, k = 25) through one warmed
-/// [`gmp_sim::SimScratch`], with the collision model off and on (jittered
-/// carrier sense, 7 retransmissions). The recorded `seed_baseline` numbers
-/// were measured on the identical workload at the pre-overhaul commit;
-/// `speedup_*` relates the two. The criterion bench `sim_throughput`
-/// tracks the same workload interactively.
-fn run_bench2(args: &Args) {
-    use gmp_core::GmpRouter;
-    use gmp_net::Topology;
-    use gmp_sim::{MulticastTask, SimScratch, TaskRunner};
-
-    let base = SimConfig::paper();
-    let topo = Topology::random(&base.topology_config(), 1);
-    let task_count = 64usize;
-    let tasks: Vec<MulticastTask> = (0..task_count)
-        .map(|i| MulticastTask::random(&topo, 25, 100 + i as u64))
-        .collect();
-    // Throughput numbers measured on the identical workload (same topology
-    // seed, same tasks, warmed scratch) at the commit preceding the event-
-    // loop overhaul, on the reference container.
-    let seed_baseline_off = 6010.0f64;
-    let seed_baseline_on = 5740.0f64;
-    let window_s = 2.0f64;
-
-    let mut measured = [0.0f64; 2];
-    let mut cache_stats = [gmp_core::CacheStats::default(); 2];
-    for (slot, (label, config)) in [
-        ("collisions_off", base.clone()),
-        (
-            "collisions_on",
-            base.clone()
-                .with_collisions(true)
-                .with_tx_jitter(0.005)
-                .with_retransmissions(7),
-        ),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        eprintln!("bench: task throughput, {label} (n=1000, k=25)…");
-        let runner = TaskRunner::new(&topo, &config);
-        let mut router = GmpRouter::new();
-        let mut scratch = SimScratch::new();
-        for t in &tasks {
-            let r = runner.run_with_scratch(&mut router, t, 0, &mut scratch);
-            assert!(!r.truncated, "bench workload truncated");
-        }
-        // Best of three windows: throughput benchmarks on shared machines
-        // are one-sided — interference only ever slows a run down, so the
-        // fastest window is the closest estimate of the code's own cost.
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let mut ran = 0usize;
-            while t0.elapsed().as_secs_f64() < window_s {
-                for t in &tasks {
-                    let _ = runner.run_with_scratch(&mut router, t, 0, &mut scratch);
-                }
-                ran += tasks.len();
-            }
-            best = best.max(ran as f64 / t0.elapsed().as_secs_f64());
-        }
-        measured[slot] = best;
-        cache_stats[slot] = router.cache_stats();
-    }
-    let [off, on] = measured;
-    let cache_json = |s: gmp_core::CacheStats| {
-        format!(
-            "{{ \"hits\": {}, \"misses\": {}, \"fallbacks\": {}, \"evictions\": {}, \"epoch_flushes\": {}, \"entries_live\": {}, \"pool_reused\": {}, \"hit_rate\": {:.4} }}",
-            s.hits,
-            s.misses,
-            s.fallbacks,
-            s.evictions,
-            s.epoch_flushes,
-            s.entries_live,
-            s.pool_reused,
-            s.hit_rate()
-        )
-    };
-
-    let peak_rss_fields = gmp_bench::rss::peak_rss_json_fields();
-    let json = format!(
-        "{{\n  \"schema\": \"gmp-bench/2\",\n  \"workload\": {{\n    \"nodes\": {},\n    \"topology_seed\": 1,\n    \"k\": 25,\n    \"tasks\": {task_count},\n    \"collision_config\": {{ \"tx_jitter_s\": 0.005, \"max_retransmissions\": 7 }},\n    \"window_s\": {window_s:.1}\n  }},\n  \"collisions_off_tasks_per_sec\": {off:.1},\n  \"collisions_on_tasks_per_sec\": {on:.1},\n  \"seed_baseline\": {{\n    \"collisions_off_tasks_per_sec\": {seed_baseline_off:.1},\n    \"collisions_on_tasks_per_sec\": {seed_baseline_on:.1}\n  }},\n  \"speedup_collisions_off\": {:.3},\n  \"speedup_collisions_on\": {:.3},\n  {peak_rss_fields},\n  \"decision_cache\": {{\n    \"collisions_off\": {},\n    \"collisions_on\": {}\n  }}\n}}\n",
-        base.node_count,
-        off / seed_baseline_off,
-        on / seed_baseline_on,
-        cache_json(cache_stats[0]),
-        cache_json(cache_stats[1]),
-    );
-    print!("{json}");
-    let path = args.out.join("BENCH_2.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// The scale curve behind `BENCH_4.json`: per-task routing cost at
-/// 1k/10k/100k/1M nodes over the sharded lazy substrate, at constant paper
-/// density. `--quick` runs the 1k/10k prefix (the CI smoke gate). See
-/// EXPERIMENTS.md for the trajectory table and DESIGN.md for the substrate.
-fn run_scale(args: &Args) {
-    use gmp_bench::rss::json_opt_u64;
-    use gmp_bench::scale::{scale_curve, EAGER_CUTOFF, MARGIN, RADIO_RANGE, WINDOW_SIDE};
-
-    let quick = args.scale == Scale::quick();
-    let node_counts: Vec<usize> = if quick {
-        vec![1_000, 10_000]
-    } else {
-        vec![1_000, 10_000, 100_000, 1_000_000]
-    };
-    let (windows, tasks_per_window) = if quick { (4, 25) } else { (8, 50) };
-    let k = 10usize;
-    eprintln!(
-        "running scale curve: nodes ∈ {node_counts:?}, {windows} windows × {tasks_per_window} tasks, k = {k}…"
-    );
-    let start = Instant::now();
-    let alloc_counter = || ALLOCS.load(Ordering::Relaxed);
-    let points = scale_curve(
-        &node_counts,
-        windows,
-        tasks_per_window,
-        k,
-        Some(&alloc_counter),
-    );
-    eprintln!(
-        "scale curve finished in {:.1}s",
-        start.elapsed().as_secs_f64()
-    );
-
-    let mut table = vec![vec![
-        "nodes".to_string(),
-        "area side".to_string(),
-        "substrate (s)".to_string(),
-        "eager (s)".to_string(),
-        "mat. nodes".to_string(),
-        "tasks/s/core".to_string(),
-        "decisions/s".to_string(),
-        "allocs/dec".to_string(),
-        "peak RSS".to_string(),
-    ]];
-    for p in &points {
-        table.push(vec![
-            p.nodes.to_string(),
-            format!("{:.0} m", p.area_side),
-            format!("{:.4}", p.substrate_build_s),
-            p.eager_build_s
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "-".into()),
-            p.materialized_nodes.to_string(),
-            format!("{:.1}", p.tasks_per_sec),
-            format!("{:.0}", p.decisions_per_sec),
-            p.allocs_per_decision
-                .map(|a| format!("{a:.4}"))
-                .unwrap_or_else(|| "-".into()),
-            p.peak_rss_bytes
-                .map(|b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)))
-                .unwrap_or_else(|| "-".into()),
-        ]);
-    }
-    println!(
-        "\nScale curve — per-task cost vs network size (paper density)\n{}",
-        render_table(&table)
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"gmp-bench/4\",\n  \"workload\": {\n");
-    json.push_str(&format!("    \"window_side_m\": {WINDOW_SIDE},\n"));
-    json.push_str(&format!("    \"margin_m\": {MARGIN},\n"));
-    json.push_str(&format!("    \"radio_range_m\": {RADIO_RANGE},\n"));
-    json.push_str("    \"density_per_m2\": 0.001,\n");
-    json.push_str(&format!("    \"windows\": {windows},\n"));
-    json.push_str(&format!("    \"tasks_per_window\": {tasks_per_window},\n"));
-    json.push_str(&format!("    \"k\": {k},\n"));
-    json.push_str(&format!("    \"eager_cutoff_nodes\": {EAGER_CUTOFF}\n"));
-    json.push_str("  },\n  \"note\": \"throughput figures are per worker-core; peak_rss_bytes is the process high-water mark, cumulative across points\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"nodes\": {}, \"area_side_m\": {}, \"tile_count\": {}, \
-             \"substrate_build_s\": {}, \"eager_build_s\": {}, \"region_build_s\": {}, \
-             \"materialized_tiles\": {}, \"materialized_nodes\": {}, \"substrate_heap_bytes\": {}, \
-             \"windows\": {}, \"tasks\": {}, \"failed_tasks\": {}, \"tasks_per_sec\": {}, \
-             \"decisions_per_sec\": {}, \"allocs_per_decision\": {}, \"wall_clock_s\": {}, \
-             \"peak_rss_bytes\": {} }}{}\n",
-            p.nodes,
-            json_f64(p.area_side),
-            p.tile_count,
-            json_f64(p.substrate_build_s),
-            p.eager_build_s.map_or_else(|| "null".into(), json_f64),
-            json_f64(p.region_build_s),
-            p.materialized_tiles,
-            p.materialized_nodes,
-            p.substrate_heap_bytes,
-            p.windows,
-            p.tasks,
-            p.failed_tasks,
-            json_f64(p.tasks_per_sec),
-            json_f64(p.decisions_per_sec),
-            p.allocs_per_decision
-                .map_or_else(|| "null".into(), json_f64),
-            json_f64(p.wall_clock_s),
-            json_opt_u64(p.peak_rss_bytes),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  {}\n}}\n",
-        gmp_bench::rss::peak_rss_json_fields()
-    ));
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("warning: could not create {}: {e}", args.out.display());
-    }
-    let path = args.out.join("BENCH_4.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// The concurrent-service benchmark behind `BENCH_5.json`: sustained
-/// multicast session throughput under churn through the `gmp-service`
-/// engine, against back-to-back sequential runs of the identical session
-/// set (the ≥2x headline gate), plus the multi-worker core-scaling curve
-/// (1/2/4/8 workers over one shared [`gmp_core::ConcurrentTreeCache`]).
-/// `--quick` runs the paper topology at 1k sessions (the CI smoke gate);
-/// the full run adds 10k sessions and the sharded 100k-node substrate.
-/// `--threads`/`GMP_BENCH_THREADS` collapses the worker axis to one
-/// count. Run it from a `--release` build.
-fn run_service(args: &Args) {
-    use gmp_bench::service::{paper_scaling_curve, sharded_service_point, ServicePoint};
-
-    let quick = args.scale == Scale::quick();
-    let alloc_counter = || ALLOCS.load(Ordering::Relaxed);
-    let axis: Vec<usize> = if args.threads > 0 {
-        vec![args.threads]
-    } else {
-        vec![1, 2, 4, 8]
-    };
-    let start = Instant::now();
-    let mut points: Vec<ServicePoint> = Vec::new();
-    eprintln!("service: paper topology, 1000 sessions, workers ∈ {axis:?}…");
-    points.extend(paper_scaling_curve(1_000, 42, Some(&alloc_counter), &axis));
-    if !quick {
-        eprintln!("service: paper topology, 10000 sessions, workers ∈ {axis:?}…");
-        points.extend(paper_scaling_curve(10_000, 43, Some(&alloc_counter), &axis));
-        eprintln!("service: sharded 100k substrate, 1000 sessions over 4 windows…");
-        points.push(sharded_service_point(100_000, 4, 1_000, 44, 4));
-        eprintln!("service: sharded 100k substrate, 10000 sessions over 8 windows…");
-        points.push(sharded_service_point(100_000, 8, 10_000, 45, 8));
-    }
-    eprintln!(
-        "service bench finished in {:.1}s",
-        start.elapsed().as_secs_f64()
-    );
-
-    let mut table = vec![vec![
-        "topology".to_string(),
-        "sessions".to_string(),
-        "workers".to_string(),
-        "seq/s".to_string(),
-        "conc/s".to_string(),
-        "speedup".to_string(),
-        "par/s".to_string(),
-        "scaling".to_string(),
-        "par p50 ms".to_string(),
-        "par p99 ms".to_string(),
-        "hit rate".to_string(),
-        "match".to_string(),
-    ]];
-    for p in &points {
-        table.push(vec![
-            p.topology.clone(),
-            p.sessions.to_string(),
-            p.threads.to_string(),
-            format!("{:.0}", p.sequential_sessions_per_sec),
-            format!("{:.0}", p.concurrent_sessions_per_sec),
-            format!("{:.2}x", p.speedup),
-            format!("{:.0}", p.parallel_sessions_per_sec),
-            format!("{:.2}x", p.parallel_scaling),
-            format!("{:.3}", p.parallel_p50_latency_ms),
-            format!("{:.3}", p.parallel_p99_latency_ms),
-            format!("{:.3}", p.cache.hit_rate()),
-            p.reports_match.to_string(),
-        ]);
-    }
-    println!(
-        "\nConcurrent session service — throughput under churn vs sequential baseline\n{}",
-        render_table(&table)
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"gmp-bench/5\",\n");
-    json.push_str(
-        "  \"note\": \"sequential baseline = back-to-back self-contained runs of the identical \
-         session set (fresh protocol + scratch per session); latency is wall-clock admission to \
-         completion of the as-fast-as-possible engine loop; the worker axis shards one engine \
-         over a shared concurrent decision cache; reports_match certifies every concurrent and \
-         parallel session report bit-identical to its sequential twin at every worker count\",\n",
-    );
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"topology\": \"{}\", \"nodes\": {}, \"sessions\": {}, \"groups\": {}, \
-             \"membership_updates\": {}, \"fault_crashes\": {}, \"skipped_empty\": {}, \
-             \"sequential_wall_s\": {}, \"sequential_sessions_per_sec\": {}, \
-             \"concurrent_wall_s\": {}, \"concurrent_sessions_per_sec\": {}, \
-             \"decisions_per_sec\": {}, \"p50_latency_ms\": {}, \"p99_latency_ms\": {}, \
-             \"threads\": {}, \"parallel_wall_s\": {}, \"parallel_sessions_per_sec\": {}, \
-             \"parallel_p50_latency_ms\": {}, \"parallel_p99_latency_ms\": {}, \
-             \"speedup\": {}, \"parallel_scaling\": {}, \"allocs_per_session\": {}, \
-             \"steady_alloc_drift\": {}, \
-             \"reports_match\": {}, \"decision_cache\": {{ \"hits\": {}, \"misses\": {}, \
-             \"fallbacks\": {}, \"evictions\": {}, \"epoch_flushes\": {}, \"entries_live\": {}, \
-             \"pool_reused\": {}, \"hit_rate\": {:.4} }} }}{}\n",
-            p.topology,
-            p.nodes,
-            p.sessions,
-            p.groups,
-            p.membership_updates,
-            p.fault_crashes,
-            p.skipped_empty,
-            json_f64(p.sequential_wall_s),
-            json_f64(p.sequential_sessions_per_sec),
-            json_f64(p.concurrent_wall_s),
-            json_f64(p.concurrent_sessions_per_sec),
-            json_f64(p.decisions_per_sec),
-            json_f64(p.p50_latency_ms),
-            json_f64(p.p99_latency_ms),
-            p.threads,
-            json_f64(p.parallel_wall_s),
-            json_f64(p.parallel_sessions_per_sec),
-            json_f64(p.parallel_p50_latency_ms),
-            json_f64(p.parallel_p99_latency_ms),
-            json_f64(p.speedup),
-            json_f64(p.parallel_scaling),
-            p.allocs_per_session.map_or_else(|| "null".into(), json_f64),
-            p.steady_alloc_drift
-                .map_or_else(|| "null".to_string(), |d| d.to_string()),
-            p.reports_match,
-            p.cache.hits,
-            p.cache.misses,
-            p.cache.fallbacks,
-            p.cache.evictions,
-            p.cache.epoch_flushes,
-            p.cache.entries_live,
-            p.cache.pool_reused,
-            p.cache.hit_rate(),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  {}\n}}\n",
-        gmp_bench::rss::peak_rss_json_fields()
-    ));
-    print!("{json}");
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("warning: could not create {}: {e}", args.out.display());
-    }
-    let path = args.out.join("BENCH_5.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// A ratio that is 0.0 (not NaN) when the denominator is zero, so
-/// zero-sample runs emit gateable numbers instead of `null`.
-fn ratio(num: f64, den: f64) -> f64 {
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
 /// Formats an f64 for JSON: non-finite values become `null`.
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -1300,7 +772,7 @@ fn run_guarantees(args: &Args) {
         "    \"protocols\": [{}]\n  }},\n  \"rows\": [\n",
         protocols
             .iter()
-            .map(|p| format!("\"{}\"", p.label()))
+            .map(|p| format!("\"{p}\""))
             .collect::<Vec<_>>()
             .join(", ")
     ));
@@ -1331,10 +803,7 @@ fn run_guarantees(args: &Args) {
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  {}\n}}\n",
-        gmp_bench::rss::peak_rss_json_fields()
-    ));
+    json.push_str("  ]\n}\n");
     if let Err(e) = std::fs::create_dir_all(&args.out) {
         eprintln!("warning: could not create {}: {e}", args.out.display());
     }
@@ -1345,15 +814,15 @@ fn run_guarantees(args: &Args) {
     }
 }
 
+const USAGE: &str = "usage: experiments <all|fig11|fig12|fig14|figlatency|fig15|overhead|treelen|planar|pbm|mobility|power|range|loss|fig15mac|mactax|guarantees> \
+                     [--quick|--standard|--paper] [--threads N] [--out DIR] [--protocols LIST]";
+
 fn main() -> ExitCode {
     let mut args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: experiments <all|bench|scale|service|fig11|fig12|fig14|figlatency|fig15|overhead|treelen|planar|pbm|mobility|power|range|loss|fig15mac|mactax|guarantees> \
-                 [--quick|--standard|--paper] [--threads N] [--out DIR] [--protocols LIST]"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -1396,11 +865,9 @@ fn main() -> ExitCode {
         "fig15" => run_fig15(&args),
         "overhead" => run_overhead(&args),
         "treelen" => run_treelen(&args),
-        "bench" => run_bench(&args),
-        "scale" => run_scale(&args),
-        "service" => run_service(&args),
         other => {
-            eprintln!("unknown command: {other}");
+            eprintln!("error: unknown command: {other}");
+            eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
     }

@@ -17,7 +17,7 @@ use gmp_net::{NodeId, Topology};
 use gmp_sim::{FailureCause, FaultEvent, FaultPlan, MulticastTask, SimConfig};
 
 use crate::experiments::{network_seed, parallel_map, task_seed, Scale};
-use crate::protocols::ProtocolKind;
+use gmp_baselines::ProtocolKind;
 
 /// Number of distinct [`FailureCause`] values (histogram width).
 pub const CAUSE_COUNT: usize = FailureCause::ALL.len();
@@ -162,7 +162,7 @@ pub fn robustness_campaign(
         let config = base.clone().with_faults(plan);
         let mut p = Partial {
             intensity_idx: job.intensity_idx,
-            label: job.proto.label(),
+            label: job.proto.to_string(),
             delivered: 0,
             total_dests: 0,
             justified: 0,
@@ -212,7 +212,7 @@ pub fn robustness_campaign(
     let mut rows: Vec<CampaignRow> = Vec::new();
     for (intensity_idx, &intensity) in intensities.iter().enumerate() {
         for proto in protocols {
-            let label = proto.label();
+            let label = proto.to_string();
             let mut delivered = 0usize;
             let mut total_dests = 0usize;
             let mut justified = 0usize;

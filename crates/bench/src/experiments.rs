@@ -12,7 +12,7 @@ use gmp_steiner::rrstr::{rrstr, RadioRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::protocols::ProtocolKind;
+use gmp_baselines::ProtocolKind;
 
 /// How much of the paper's workload to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,7 +254,7 @@ pub fn destination_sweep(
         }
         Partial {
             k: job.k,
-            label: job.proto.label(),
+            label: job.proto.to_string(),
             total_hops,
             dest_hops,
             dest_hops_n,
@@ -268,7 +268,7 @@ pub fn destination_sweep(
     let mut rows: Vec<SweepRow> = Vec::new();
     for &k in &scale.k_values {
         for proto in protocols {
-            let label = proto.label();
+            let label = proto.to_string();
             let mut th = 0.0;
             let mut dh = 0.0;
             let mut dh_n = 0usize;
@@ -336,13 +336,13 @@ pub fn density_sweep(
                 failed += 1;
             }
         }
-        (job.nodes, job.proto.label(), failed)
+        (job.nodes, job.proto.to_string(), failed)
     });
 
     let mut rows = Vec::new();
     for &nodes in node_counts {
         for proto in protocols {
-            let label = proto.label();
+            let label = proto.to_string();
             let failed: usize = partials
                 .iter()
                 .filter(|p| p.0 == nodes && p.1 == label)
@@ -611,7 +611,6 @@ pub struct PlanarRow {
 /// the Gabriel graph versus the sparser Relative Neighborhood Graph?
 /// Run at sparse densities where perimeter mode actually fires.
 pub fn planar_ablation(base: &SimConfig, scale: &Scale, node_counts: &[usize]) -> Vec<PlanarRow> {
-    use crate::protocols::ProtocolKind;
     let kinds = [
         (crate::experiments_planar::GABRIEL, "Gabriel"),
         (crate::experiments_planar::RNG, "RNG"),
@@ -843,7 +842,7 @@ pub fn power_ablation(
         let n = scale.tasks() as f64;
         PowerRow {
             k,
-            protocol: proto.label(),
+            protocol: proto.to_string(),
             fixed_energy_j: fixed / n,
             controlled_energy_j: controlled / n,
         }
@@ -903,12 +902,12 @@ pub fn range_sweep(
                 failed += 1;
             }
         }
-        (job.rr, job.proto.label(), hops, energy, failed)
+        (job.rr, job.proto.to_string(), hops, energy, failed)
     });
     let mut rows = Vec::new();
     for &rr in ranges {
         for proto in protocols {
-            let label = proto.label();
+            let label = proto.to_string();
             let mut hops = 0.0;
             let mut energy = 0.0;
             let mut failed = 0usize;
@@ -1000,13 +999,13 @@ pub fn loss_sweep(
                 failed += 1;
             }
         }
-        (job.nodes, job.loss, job.proto.label(), failed)
+        (job.nodes, job.loss, job.proto.to_string(), failed)
     });
     let mut rows = Vec::new();
     for &nodes in node_counts {
         for &loss in losses {
             for proto in protocols {
-                let label = proto.label();
+                let label = proto.to_string();
                 let failed: usize = partials
                     .iter()
                     .filter(|p| p.0 == nodes && p.1 == loss && p.2 == label)
@@ -1075,7 +1074,7 @@ pub fn mac_tax(
         }
         let n = scale.tasks() as f64;
         MacTaxRow {
-            protocol: proto.label(),
+            protocol: proto.to_string(),
             ideal_tx: ideal_tx / n,
             mac_tx: mac_tx / n,
             tax: mac_tx / ideal_tx - 1.0,

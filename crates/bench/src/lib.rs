@@ -5,8 +5,6 @@
 //! binary, the integration tests, and the Criterion benches all share one
 //! implementation:
 //!
-//! * [`protocols`] — a uniform factory over GMP and all baselines,
-//!   including the per-task λ sweep that defines "PBM" in Figures 11–14;
 //! * [`experiments`] — the Figure 11/12/14 sweep over the destination
 //!   count, the Figure 15 density sweep, and the extension ablations;
 //! * [`campaign`] — fault-injection robustness campaigns judged by the
@@ -21,10 +19,6 @@
 pub mod campaign;
 pub mod chart;
 pub mod experiments;
-pub mod protocols;
-pub mod rss;
-pub mod scale;
-pub mod service;
 pub mod table;
 
 pub use campaign::{robustness_campaign, CampaignRow};
@@ -34,10 +28,6 @@ pub use experiments::{
     pbm_sensitivity, planar_ablation, power_ablation, range_sweep, tree_length_ablation,
     DensityRow, Scale, SweepRow,
 };
-pub use protocols::ProtocolKind;
-pub use rss::peak_rss_bytes;
-pub use scale::{scale_curve, ScalePoint};
-pub use service::{paper_scaling_curve, sharded_service_point, ServicePoint};
 pub use table::{render_table, write_csv};
 
 /// Planar-kind constants shared with the ablation (kept out of the public

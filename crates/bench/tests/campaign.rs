@@ -8,9 +8,9 @@
 //! at the source) leak unjustified failures as soon as the intensity is
 //! non-zero, which is exactly the contrast BENCH_3 curves show.
 
+use gmp_baselines::ProtocolKind;
 use gmp_bench::campaign::{robustness_campaign, CampaignRow};
 use gmp_bench::experiments::Scale;
-use gmp_bench::protocols::ProtocolKind;
 use gmp_sim::SimConfig;
 
 fn sweep() -> Vec<CampaignRow> {

@@ -8,8 +8,8 @@
 //! This file holds exactly one test: the worker-thread override is
 //! process-global, and a concurrently running sibling would race on it.
 
+use gmp_baselines::ProtocolKind;
 use gmp_bench::experiments::{destination_sweep, set_worker_threads, Scale};
-use gmp_bench::protocols::ProtocolKind;
 use gmp_sim::SimConfig;
 
 #[test]

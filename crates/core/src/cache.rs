@@ -574,8 +574,8 @@ struct PublishedEntry {
 /// a workload once to warm the table: every decision the replay needs is
 /// now resident (published by whichever thread got there first), so
 /// subsequent replays take the `get`-verify-serve path exclusively —
-/// zero allocations, regardless of worker count or interleaving. The
-/// `steady_alloc_drift` certificate in BENCH_5 measures exactly this.
+/// zero allocations, regardless of worker count or interleaving.
+/// `gmp-service`'s `steady_allocs` test relies on exactly this.
 ///
 /// The table holds `config.capacity.next_power_of_two()` slots and
 /// follows the module's one fill rule: if a window is full, the decision

@@ -139,8 +139,8 @@ fn steady_state_decisions_do_not_allocate() {
     // publishes and lost set() races may allocate — that's warm-up), after
     // which every slot fill is final. The measured pass then takes the
     // lock-free get-verify-serve path exclusively: zero allocations, same
-    // as the private cache. This is the property BENCH_5's
-    // steady_alloc_drift certificate rides on.
+    // as the private cache. `gmp-service`'s `steady_allocs` test rides
+    // on this property.
     let shared = ConcurrentTreeCache::with_config(CacheConfig::default());
     std::thread::scope(|scope| {
         for _ in 0..2 {

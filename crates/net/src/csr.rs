@@ -12,10 +12,9 @@ use std::fmt;
 
 /// Flat ragged-array storage: `row(i)` is `data[offsets[i]..offsets[i+1]]`.
 ///
-/// Offsets are `u32`: the total element count must stay below 2³². A fully
-/// materialized 1M-node unit-disk graph at the paper's density (~69
-/// neighbors/node) is ~7 × 10⁷ entries, comfortably inside that — and the
-/// sharded substrate never materializes whole-network adjacency anyway.
+/// Offsets are `u32`: the total element count must stay below 2³². A 1M-node
+/// unit-disk graph at the paper's density (~69 neighbors/node) is
+/// ~7 × 10⁷ entries, comfortably inside that.
 #[derive(Clone, PartialEq)]
 pub struct Csr<T> {
     offsets: Vec<u32>,
@@ -99,12 +98,6 @@ impl<T> Csr<T> {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
         (0..self.rows()).map(move |i| self.row(i))
     }
-
-    /// Heap footprint in bytes (offsets + data), for memory accounting.
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.data.capacity() * std::mem::size_of::<T>()
-    }
 }
 
 impl<T> Default for Csr<T> {
@@ -159,12 +152,6 @@ mod tests {
         let c = Csr::from_rows(vec![vec![1u8, 2], vec![3]]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn heap_bytes_counts_both_arrays() {
-        let csr = Csr::from_rows(vec![vec![1u32, 2, 3]]);
-        assert!(csr.heap_bytes() >= 3 * 4 + 2 * 4);
     }
 
     #[test]

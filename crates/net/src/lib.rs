@@ -42,7 +42,6 @@ pub mod grid;
 pub mod mobility;
 pub mod node;
 pub mod planar;
-pub mod shard;
 pub mod topology;
 pub mod traversal;
 
@@ -50,6 +49,5 @@ pub use csr::Csr;
 pub use face::PerimeterState;
 pub use node::{Node, NodeId};
 pub use planar::PlanarKind;
-pub use shard::{RegionView, ShardConfig, ShardedTopology};
 pub use topology::{Topology, TopologyConfig};
 pub use traversal::{FaceDir, FacePhase, FaceScratch, FaceWalk};

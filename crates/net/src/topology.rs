@@ -17,7 +17,7 @@ use crate::planar::{planarize, PlanarKind};
 /// avoids every hole. Hitting it means the holes (practically) cover the
 /// sampling region; the generators panic with the offending hole config
 /// instead of spinning forever.
-pub(crate) const MAX_PLACEMENT_ATTEMPTS: usize = 100_000;
+const MAX_PLACEMENT_ATTEMPTS: usize = 100_000;
 
 /// The next [`Topology::id`] to hand out. It publishes no other data, so
 /// `Relaxed` is enough: `fetch_add` alone makes every id unique.
@@ -430,18 +430,6 @@ impl Topology {
             return 0.0;
         }
         self.adjacency.total_len() as f64 / self.len() as f64
-    }
-
-    /// Approximate heap footprint of the always-materialized storage
-    /// (positions + CSR adjacency), in bytes. Lazily cached planar graphs
-    /// and neighbor distances are included only once computed.
-    pub fn heap_bytes(&self) -> usize {
-        let lazy = |c: &OnceLock<Csr<NodeId>>| c.get().map_or(0, Csr::heap_bytes);
-        self.positions.capacity() * std::mem::size_of::<Point>()
-            + self.adjacency.heap_bytes()
-            + lazy(&self.gabriel)
-            + lazy(&self.rng_graph)
-            + self.neighbor_dists.get().map_or(0, Csr::heap_bytes)
     }
 }
 

@@ -1,20 +1,13 @@
-//! Property pins for the CSR adjacency layout and the sharded lazy
-//! substrate.
+//! Property pin for the CSR adjacency layout.
 //!
-//! The CSR refactor and the tile-by-tile generator are pure storage/
-//! scheduling changes — neither may alter a single neighbor list:
-//!
-//! * [`Topology`] adjacency (now CSR) must equal the brute-force O(n²)
-//!   unit-disk adjacency the original `Vec<Vec<NodeId>>` path computed,
-//!   across seeds, placements, and hole configs;
-//! * lazy [`ShardedTopology`] queries must be bit-identical to the eager
-//!   topology built from its full materialization — same node order, same
-//!   positions, same sorted neighbor lists — regardless of the order tiles
-//!   are faulted in.
+//! The CSR refactor is a pure storage change and may not alter a single
+//! neighbor list: [`Topology`] adjacency (now CSR) must equal the
+//! brute-force O(n²) unit-disk adjacency the original `Vec<Vec<NodeId>>`
+//! path computed, across seeds, placements, and hole configs.
 
-use gmp_geom::{Aabb, Point};
+use gmp_geom::Point;
 use gmp_net::topology::{Hole, Placement};
-use gmp_net::{NodeId, ShardConfig, ShardedTopology, Topology, TopologyConfig};
+use gmp_net::{NodeId, Topology, TopologyConfig};
 use proptest::prelude::*;
 
 /// The pre-CSR reference: brute-force unit-disk adjacency, sorted rows.
@@ -73,98 +66,4 @@ proptest! {
             prop_assert_eq!(topo.neighbors(NodeId(i as u32)), row.as_slice(), "node {}", i);
         }
     }
-
-    #[test]
-    fn lazy_substrate_matches_full_materialization(
-        seed in 0u64..1000,
-        n in 200usize..600,
-        holes in holes_strategy(),
-    ) {
-        let mut config = ShardConfig::new(900.0, n, 150.0).with_tile_side(300.0);
-        config.holes = holes;
-        let st = ShardedTopology::new(config, seed);
-        let full = st.materialize_full();
-        prop_assert_eq!(full.len(), n);
-        let mut out = Vec::new();
-        for i in 0..n {
-            let id = NodeId(i as u32);
-            prop_assert_eq!(st.pos(id), full.pos(id), "position of node {}", i);
-            st.neighbors_into(id, &mut out);
-            prop_assert_eq!(out.as_slice(), full.neighbors(id), "neighbors of node {}", i);
-        }
-    }
-
-    #[test]
-    fn region_interior_matches_full_network(
-        seed in 0u64..500,
-        wx in 0.0f64..500.0,
-        wy in 0.0f64..500.0,
-    ) {
-        let st = ShardedTopology::new(
-            ShardConfig::new(1200.0, 900, 150.0).with_tile_side(300.0),
-            seed,
-        );
-        let full = st.materialize_full();
-        let window = Aabb::new(Point::new(wx, wy), Point::new(wx + 400.0, wy + 400.0));
-        let view = st.materialize_region(window);
-        let rr = st.radio_range();
-        let b = view.topology.area();
-        for local in 0..view.topology.len() {
-            let lid = NodeId(local as u32);
-            let p = view.topology.pos(lid);
-            let interior = p.x - b.min.x > rr
-                && b.max.x - p.x > rr
-                && p.y - b.min.y > rr
-                && b.max.y - p.y > rr;
-            if !interior {
-                continue;
-            }
-            let got: Vec<NodeId> = view
-                .topology
-                .neighbors(lid)
-                .iter()
-                .map(|&nb| view.global(nb))
-                .collect();
-            prop_assert_eq!(
-                got.as_slice(),
-                full.neighbors(view.global(lid)),
-                "interior node {:?}", view.global(lid)
-            );
-        }
-    }
-}
-
-/// Tile materialization order must not influence anything: fault tiles in
-/// three different orders and compare every neighbor list.
-#[test]
-fn materialization_order_is_irrelevant() {
-    let config = || ShardConfig::new(900.0, 500, 150.0).with_tile_side(300.0);
-    let forward = ShardedTopology::new(config(), 11);
-    let backward = ShardedTopology::new(config(), 11);
-    let lazy = ShardedTopology::new(config(), 11);
-    let full_fwd = forward.materialize_full();
-    // Touch tiles back-to-front via per-node queries before materializing.
-    let mut out = Vec::new();
-    for i in (0..backward.len()).rev() {
-        backward.neighbors_into(NodeId(i as u32), &mut out);
-    }
-    let full_bwd = backward.materialize_full();
-    assert_eq!(full_fwd.positions(), full_bwd.positions());
-    for i in 0..lazy.len() {
-        let id = NodeId(i as u32);
-        lazy.neighbors_into(id, &mut out);
-        assert_eq!(out.as_slice(), full_fwd.neighbors(id));
-    }
-}
-
-/// A paper-scale sharded deployment agrees with the plain eager
-/// constructor fed the same positions (node order, adjacency, planar
-/// graphs are all downstream of these two facts).
-#[test]
-fn paper_scale_full_materialization_matches_eager_constructor() {
-    let st = ShardedTopology::new(ShardConfig::paper_density(1000, 150.0), 42);
-    let full = st.materialize_full();
-    let eager = Topology::from_positions(full.positions(), full.area(), 150.0);
-    assert_eq!(full.positions(), eager.positions());
-    assert_eq!(full.adjacency(), eager.adjacency());
 }

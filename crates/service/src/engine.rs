@@ -40,8 +40,8 @@
 //! session id into the same order `run` produces. The partition is
 //! *static* rather than work-stealing: a racy claim order would let OS
 //! scheduling decide which worker's scratch grows to which high-water
-//! mark, breaking the steady-state zero-allocation certificate that
-//! BENCH_5 gates on (see DESIGN.md, "Concurrency model").
+//! mark, and a warmed engine would no longer allocate the same on every
+//! run (`tests/steady_allocs.rs`; see DESIGN.md, "Concurrency model").
 
 use std::collections::BinaryHeap;
 use std::time::Instant;

@@ -38,7 +38,6 @@ pub mod knob;
 pub mod metrics;
 pub mod packet;
 pub mod protocol;
-pub mod region;
 pub mod runner;
 pub mod scenario;
 pub mod task;
@@ -51,7 +50,6 @@ pub use knob::env_knob;
 pub use metrics::TaskReport;
 pub use packet::{DestList, MulticastPacket, RoutingState};
 pub use protocol::{Forward, NodeContext, Protocol};
-pub use region::RegionSim;
 pub use runner::{Session, SimScratch, TaskRunner};
 pub use scenario::Scenario;
 pub use task::MulticastTask;

@@ -13,9 +13,10 @@
 //! task 5 7 9 23
 //! ```
 //!
-//! `node` lines must appear in id order starting at 0; a `task` line is a
-//! source followed by its destinations. Floats use Rust's shortest
-//! round-trip formatting, so save → load reproduces coordinates exactly.
+//! `node` lines must appear in id order starting at 0, and no two nodes may
+//! share a position; a `task` line is a source followed by its
+//! destinations. Floats use Rust's shortest round-trip formatting, so
+//! save → load reproduces coordinates exactly.
 //!
 //! Fault plans ride along as `fault` lines, one per knob or event:
 //!
@@ -30,6 +31,7 @@
 //!
 //! Infinite blackout ends serialize as `inf` and round-trip exactly.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -197,6 +199,9 @@ impl Scenario {
         let mut area = None;
         let mut radio_range = None;
         let mut positions: Vec<Point> = Vec::new();
+        // Node id by position bits; `+ 0.0` maps −0 to 0, so positions
+        // compare by value.
+        let mut placed: HashMap<(u64, u64), usize> = HashMap::new();
         let mut tasks = Vec::new();
         let mut faults = FaultPlan::none();
         for (idx, raw) in text.lines().enumerate() {
@@ -245,6 +250,14 @@ impl Scenario {
                     if !(x.is_finite() && y.is_finite()) {
                         return Err(err(line_no, "node coordinates must be finite"));
                     }
+                    let key = ((x + 0.0).to_bits(), (y + 0.0).to_bits());
+                    if let Some(&other) = placed.get(&key) {
+                        return Err(err(
+                            line_no,
+                            &format!("node {id} is at the same position as node {other}"),
+                        ));
+                    }
+                    placed.insert(key, id);
                     positions.push(Point::new(x, y));
                 }
                 "task" => {
@@ -510,6 +523,12 @@ mod tests {
                 "area 0 0 100 100\nradio_range 50\nnode 0 1 2\nnode 1 3 inf\n",
                 4,
                 "finite",
+            ),
+            (
+                "area 0 0 200 10\nradio_range 150\nnode 0 0 0\nnode 1 100 -0\n\
+                 node 2 100 0\nnode 3 200 0\n",
+                5,
+                "node 2 is at the same position as node 1",
             ),
         ];
         for (text, line, needle) in cases {

@@ -15,35 +15,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use gmp_baselines::{DsmRouter, GrdRouter, LgkRouter, LgsRouter, PbmRouter, SmtRouter};
-use gmp_core::GmpRouter;
+use gmp_baselines::ProtocolKind;
 use gmp_net::Topology;
-use gmp_sim::{MulticastTask, Protocol, Scenario, SimConfig, TaskRunner};
+use gmp_sim::{MulticastTask, Scenario, SimConfig, TaskRunner};
 
 use crate::viz::SvgScene;
-
-/// Builds a protocol by CLI name.
-///
-/// # Errors
-///
-/// Returns the list of valid names when `name` is unknown.
-pub fn protocol_by_name(name: &str) -> Result<Box<dyn Protocol>, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "gmp" => Box::new(GmpRouter::new()),
-        "gmpnr" => Box::new(GmpRouter::without_radio_range_awareness()),
-        "pbm" => Box::new(PbmRouter::new()),
-        "lgs" => Box::new(LgsRouter::new()),
-        "lgk" => Box::new(LgkRouter::new(2)),
-        "grd" => Box::new(GrdRouter::new()),
-        "dsm" => Box::new(DsmRouter::new()),
-        "smt" => Box::new(SmtRouter::new()),
-        other => {
-            return Err(format!(
-                "unknown protocol `{other}` (expected gmp|gmpnr|pbm|lgs|lgk|grd|dsm|smt)"
-            ))
-        }
-    })
-}
 
 fn parse_flag<T: std::str::FromStr>(
     args: &mut Vec<String>,
@@ -62,6 +38,10 @@ fn parse_flag<T: std::str::FromStr>(
     } else {
         Ok(default)
     }
+}
+
+fn parse_protocol(name: &str) -> Result<ProtocolKind, String> {
+    name.parse::<ProtocolKind>().map_err(|e| e.to_string())
 }
 
 /// Runs one CLI invocation and returns the text to print.
@@ -91,7 +71,7 @@ fn usage() -> String {
         "commands:\n",
         "  generate --nodes N --area M --seed S --tasks T --k K OUT.txt\n",
         "  info SCENARIO.txt\n",
-        "  run SCENARIO.txt [--protocol gmp|gmpnr|pbm|lgs|lgk|grd|dsm|smt]\n",
+        "  run SCENARIO.txt [--protocol gmp|gmpnr|pbm|lgs|lgk|grd|dsm|smt|mcfr|gvg]\n",
         "  render SCENARIO.txt OUT.svg [--task N] [--protocol NAME]\n"
     )
     .to_string()
@@ -169,6 +149,7 @@ fn cmd_info(args: Vec<String>) -> Result<String, String> {
 
 fn cmd_run(mut args: Vec<String>) -> Result<String, String> {
     let protocol_name: String = parse_flag(&mut args, "--protocol", "gmp".to_string())?;
+    let kind = parse_protocol(&protocol_name)?;
     let path = args.first().ok_or("run needs a scenario path")?;
     let scenario = load(path)?;
     let topo = scenario.topology();
@@ -186,7 +167,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, String> {
     let mut total_hops = 0usize;
     let mut failures = 0usize;
     for (i, task) in scenario.tasks.iter().enumerate() {
-        let mut proto = protocol_by_name(&protocol_name)?;
+        let mut proto = kind.build();
         let report = runner.run(proto.as_mut(), task);
         total_hops += report.transmissions;
         if !report.delivered_all() {
@@ -215,7 +196,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, String> {
 }
 
 fn cmd_render(mut args: Vec<String>) -> Result<String, String> {
-    let protocol_name: String = parse_flag(&mut args, "--protocol", "gmp".to_string())?;
+    let kind = parse_protocol(&parse_flag(&mut args, "--protocol", "gmp".to_string())?)?;
     let task_idx: usize = parse_flag(&mut args, "--task", 0)?;
     if args.len() != 2 {
         return Err("render needs SCENARIO.txt and OUT.svg".into());
@@ -230,7 +211,7 @@ fn cmd_render(mut args: Vec<String>) -> Result<String, String> {
         .with_area_side(topo.area().width())
         .with_node_count(topo.len())
         .with_radio_range(topo.radio_range());
-    let mut proto = protocol_by_name(&protocol_name)?;
+    let mut proto = kind.build();
     let report = TaskRunner::new(&topo, &config).run(proto.as_mut(), task);
     let mut scene = SvgScene::new(topo.area());
     for node in topo.nodes() {
@@ -292,7 +273,9 @@ mod tests {
         assert!(info.contains("nodes      : 200"));
         assert!(info.contains("tasks      : 3"));
 
-        for proto in ["gmp", "gmpnr", "lgs", "grd", "dsm", "smt", "pbm", "lgk"] {
+        for proto in [
+            "gmp", "gmpnr", "lgs", "grd", "dsm", "smt", "pbm", "lgk", "mcfr", "gvg",
+        ] {
             let run = run_cli(&s(&["run", &scenario_path, "--protocol", proto])).unwrap();
             assert!(run.contains("3 tasks"), "{proto}: {run}");
         }
@@ -322,7 +305,9 @@ mod tests {
         assert!(run_cli(&s(&["run", "/nonexistent/file.txt"]))
             .unwrap_err()
             .contains("cannot load"));
-        assert!(protocol_by_name("nope").is_err());
+        let e = run_cli(&s(&["run", "x.txt", "--protocol", "nope"])).unwrap_err();
+        assert!(e.contains("unknown protocol `nope`"), "{e}");
+        assert!(e.contains("mcfr"), "{e}");
         let help = run_cli(&s(&["help"])).unwrap();
         assert!(help.contains("generate"));
 
