@@ -98,7 +98,7 @@ use std::sync::OnceLock;
 use gmp_geom::Point;
 use gmp_net::{NodeId, Topology};
 
-use crate::grouping::{copy_grouping_into, DecisionScratch, Grouping};
+use crate::grouping::{DecisionScratch, Grouping};
 
 /// Tuning knobs for [`TreeCache`] and [`ConcurrentTreeCache`]. These
 /// affect only speed, never outcomes.
@@ -227,17 +227,70 @@ impl CacheStats {
 /// what the grouping depended on in the liveness view. The topology
 /// stands in for every position, the radio range and the neighbor row
 /// through its id (see the module docs).
+///
+/// Every id of the entry sits in one vector, in this order: the
+/// decision's destinations, each covered group's destinations, the void
+/// destinations, and the blockers. `groups` holds one `(next hop, end
+/// offset)` row per covered group. A hit thus reads two heap blocks past
+/// the entry however many groups the decision made, and storing a
+/// decision costs two allocations.
 #[derive(Debug, Clone, Default)]
 struct CacheEntry {
     topo: u64,
-    node: NodeId,
-    rra: bool,
     perimeter_entry: Option<Point>,
-    dests: Vec<NodeId>,
-    /// Dead neighbors that some next-hop call would have picked ahead of
-    /// its result; empty when the view killed none of them.
-    blockers: Vec<NodeId>,
-    grouping: Grouping,
+    ids: Vec<NodeId>,
+    groups: Vec<(NodeId, u32)>,
+    node: NodeId,
+    /// End of the destinations in `ids`.
+    dests_end: u32,
+    /// End of the voids in `ids`; the blockers follow. A blocker is a
+    /// dead neighbor that some next-hop call would have picked ahead of
+    /// its result; there are none when the view killed none of them.
+    voids_end: u32,
+    rra: bool,
+}
+
+impl CacheEntry {
+    fn dests(&self) -> &[NodeId] {
+        &self.ids[..self.dests_end as usize]
+    }
+
+    /// Each covered group as `(next hop, destinations)`.
+    fn covered(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> + '_ {
+        let mut start = self.dests_end as usize;
+        self.groups.iter().map(move |&(hop, end)| {
+            let group = &self.ids[start..end as usize];
+            start = end as usize;
+            (hop, group)
+        })
+    }
+
+    fn voids(&self) -> &[NodeId] {
+        let start = self.groups.last().map_or(self.dests_end, |&(_, end)| end);
+        &self.ids[start as usize..self.voids_end as usize]
+    }
+
+    fn blockers(&self) -> &[NodeId] {
+        &self.ids[self.voids_end as usize..]
+    }
+
+    /// `true` iff `grouping` is this entry's decision.
+    fn holds(&self, grouping: &Grouping) -> bool {
+        grouping.covered.len() == self.groups.len()
+            && grouping
+                .covered
+                .iter()
+                .zip(self.covered())
+                .all(|(g, (hop, dests))| g.next_hop == hop && g.dests == dests)
+            && grouping.voids == self.voids()
+    }
+}
+
+/// An offset into an entry's ids. An entry holds each destination at most
+/// twice plus the decision's blockers, far below `u32::MAX` ids for any
+/// topology that fits in memory.
+fn offset(ids: &[NodeId]) -> u32 {
+    u32::try_from(ids.len()).expect("a cache entry holds fewer than 2^32 ids")
 }
 
 /// Trivial pass-through hasher: the map key already *is* the mixed
@@ -323,7 +376,7 @@ impl Inputs<'_> {
             && entry.node == self.node
             && entry.rra == self.rra
             && bits(entry.perimeter_entry) == bits(self.perimeter_entry)
-            && entry.dests == self.dests
+            && entry.dests() == self.dests
     }
 
     /// Computes the decision into `scratch`, bypassing the cache.
@@ -343,17 +396,32 @@ impl Inputs<'_> {
     }
 
     /// (Re)populates `entry` from these inputs and the decision just
-    /// computed into `scratch`, reusing the entry's vectors.
-    fn fill(&self, entry: &mut CacheEntry, pool: &mut Vec<Vec<NodeId>>, scratch: &DecisionScratch) {
+    /// computed into `scratch`, reusing the entry's vectors. The ids are
+    /// reserved at their exact count, so a new entry's block is no larger
+    /// than it needs to be.
+    fn fill(&self, entry: &mut CacheEntry, scratch: &DecisionScratch) {
+        let grouping = scratch.grouping_ref();
         entry.topo = self.topo.id();
         entry.node = self.node;
         entry.rra = self.rra;
         entry.perimeter_entry = self.perimeter_entry;
-        entry.dests.clear();
-        entry.dests.extend_from_slice(self.dests);
-        entry.blockers.clear();
-        entry.blockers.extend(scratch.blockers());
-        copy_grouping_into(scratch.grouping_ref(), &mut entry.grouping, pool);
+        let grouped: usize = grouping.covered.iter().map(|g| g.dests.len()).sum();
+        let ids = &mut entry.ids;
+        ids.clear();
+        ids.reserve_exact(
+            self.dests.len() + grouped + grouping.voids.len() + scratch.blockers().count(),
+        );
+        ids.extend_from_slice(self.dests);
+        entry.dests_end = offset(ids);
+        entry.groups.clear();
+        entry.groups.reserve_exact(grouping.covered.len());
+        for g in &grouping.covered {
+            ids.extend_from_slice(&g.dests);
+            entry.groups.push((g.next_hop, offset(ids)));
+        }
+        ids.extend_from_slice(&grouping.voids);
+        entry.voids_end = offset(ids);
+        ids.extend(scratch.blockers());
     }
 
     /// Loads `entry`'s grouping into `scratch` — or, in paranoid mode,
@@ -366,15 +434,17 @@ impl Inputs<'_> {
         paranoid: bool,
     ) {
         if paranoid {
-            assert_eq!(
-                self.compute(scratch, alive),
-                &entry.grouping,
-                "paranoid cache check failed at node {} for {:?}",
+            let computed = self.compute(scratch, alive);
+            assert!(
+                entry.holds(computed),
+                "paranoid cache check failed at node {} for {:?}: computed {:?}, stored {:?}",
                 self.node,
-                self.dests
+                self.dests,
+                computed,
+                entry
             );
         } else {
-            scratch.load_grouping(&entry.grouping);
+            scratch.load(entry.covered(), entry.voids());
         }
     }
 }
@@ -384,10 +454,10 @@ impl Inputs<'_> {
 /// module docs). Reads the entry only, never the neighbor row.
 fn serves_view(entry: &CacheEntry, alive: Option<&[bool]>) -> bool {
     match alive {
-        None => entry.blockers.is_empty(),
+        None => entry.blockers().is_empty(),
         Some(a) => {
-            entry.blockers.iter().all(|b| !a[b.index()])
-                && entry.grouping.covered.iter().all(|g| a[g.next_hop.index()])
+            entry.blockers().iter().all(|b| !a[b.index()])
+                && entry.groups.iter().all(|&(hop, _)| a[hop.index()])
         }
     }
 }
@@ -410,8 +480,6 @@ pub struct TreeCache {
     /// correct either way.
     map: HashMap<u64, u32, FingerprintBuild>,
     entries: Vec<CacheEntry>,
-    /// Group-vector pool for entry replacement (the scratch has its own).
-    pool: Vec<Vec<NodeId>>,
     stats: CacheStats,
 }
 
@@ -440,7 +508,6 @@ impl TreeCache {
             config,
             map: HashMap::default(),
             entries: Vec::new(),
-            pool: Vec::new(),
             stats: CacheStats::default(),
         }
     }
@@ -514,10 +581,10 @@ impl TreeCache {
         match slot {
             // One entry per fingerprint: the decision it could not serve
             // is replaced in place.
-            Some(slot) => inputs.fill(&mut self.entries[slot as usize], &mut self.pool, scratch),
+            Some(slot) => inputs.fill(&mut self.entries[slot as usize], scratch),
             None if self.entries.len() < self.config.capacity => {
                 let mut entry = CacheEntry::default();
-                inputs.fill(&mut entry, &mut self.pool, scratch);
+                inputs.fill(&mut entry, scratch);
                 self.map.insert(fp, self.entries.len() as u32);
                 self.entries.push(entry);
             }
@@ -730,7 +797,7 @@ impl ConcurrentTreeCache {
                     fp,
                     entry: CacheEntry::default(),
                 });
-                inputs.fill(&mut published.entry, &mut Vec::new(), scratch);
+                inputs.fill(&mut published.entry, scratch);
                 published
             });
             match slot.set(candidate) {

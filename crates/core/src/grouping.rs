@@ -94,12 +94,7 @@ impl DecisionScratch {
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
     ) -> &Grouping {
-        // Recycle the previous decision's group vectors before clearing.
-        for mut g in self.grouping.covered.drain(..) {
-            g.dests.clear();
-            self.group_pool.push(g.dests);
-        }
-        self.grouping.voids.clear();
+        self.recycle();
         self.blockers.clear();
 
         debug_assert!(!dests.contains(&node), "self must be stripped first");
@@ -185,8 +180,7 @@ impl DecisionScratch {
     }
 
     /// Mutable access to the last decision, for the emit step (which
-    /// merges groups in place and moves the void list into the perimeter
-    /// packet).
+    /// merges groups in place).
     pub(crate) fn grouping_mut(&mut self) -> &mut Grouping {
         &mut self.grouping
     }
@@ -204,30 +198,34 @@ impl DecisionScratch {
         self.blockers.iter().map(|&(_, n)| n)
     }
 
-    /// Replaces the last decision with a copy of `src`, recycling the
-    /// current groups' vectors through the pool — the cache-hit path,
-    /// allocation-free once the pool is warm.
-    pub(crate) fn load_grouping(&mut self, src: &Grouping) {
-        copy_grouping_into(src, &mut self.grouping, &mut self.group_pool);
+    /// Replaces the last decision with `covered` groups and `voids`
+    /// copied into pooled vectors — the cache-hit path, allocation-free
+    /// once the pool is warm. Leaves the blockers alone: only the
+    /// cache's store path reads them, right after a computed decision.
+    pub(crate) fn load<'e>(
+        &mut self,
+        covered: impl Iterator<Item = (NodeId, &'e [NodeId])>,
+        voids: &[NodeId],
+    ) {
+        self.recycle();
+        for (next_hop, dests) in covered {
+            let mut group = self.group_pool.pop().unwrap_or_default();
+            group.extend_from_slice(dests);
+            self.grouping.covered.push(CoveredGroup {
+                dests: group,
+                next_hop,
+            });
+        }
+        self.grouping.voids.extend_from_slice(voids);
     }
-}
 
-/// Copies `src` over `dst`, recycling `dst`'s group vectors through
-/// `pool` so a warmed destination never reallocates.
-pub(crate) fn copy_grouping_into(src: &Grouping, dst: &mut Grouping, pool: &mut Vec<Vec<NodeId>>) {
-    for mut g in dst.covered.drain(..) {
-        g.dests.clear();
-        pool.push(g.dests);
-    }
-    dst.voids.clear();
-    dst.voids.extend_from_slice(&src.voids);
-    for g in &src.covered {
-        let mut dests = pool.pop().unwrap_or_default();
-        dests.extend_from_slice(&g.dests);
-        dst.covered.push(CoveredGroup {
-            dests,
-            next_hop: g.next_hop,
-        });
+    /// Empties the last decision, returning its group vectors to the pool.
+    fn recycle(&mut self) {
+        for mut g in self.grouping.covered.drain(..) {
+            g.dests.clear();
+            self.group_pool.push(g.dests);
+        }
+        self.grouping.voids.clear();
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use gmp_geom::Point;
 use gmp_net::face::perimeter_next_hop;
 use gmp_net::PerimeterState;
-use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
+use gmp_sim::{DestList, Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 
 use crate::cache::{CacheStats, ConcurrentTreeCache, TreeCache};
 use crate::grouping::{DecisionScratch, Grouping};
@@ -125,9 +125,9 @@ impl GmpRouter {
 }
 
 /// Builds the forwards for the covered groups and, if needed, one
-/// perimeter-mode copy for the void destinations. Operates on the
-/// grouping in place: merging coalesces the covered list, and the void
-/// list is moved into the perimeter packet.
+/// perimeter-mode copy for the void destinations. Merging coalesces the
+/// covered list in place; every copy's destination list is built from
+/// the grouping's slices, so the scratch keeps its vectors.
 fn emit(
     config: GmpConfig,
     ctx: &NodeContext<'_>,
@@ -152,12 +152,12 @@ fn emit(
     }
     out.extend(grouping.covered.iter().map(|g| {
         // A group carrying the packet's whole destination list forwards
-        // the list by reference count instead of re-allocating it — the
-        // steady state of every pass-through hop.
+        // the list itself — by reference count when it is too long to be
+        // held inline — the steady state of every pass-through hop.
         let dests = if packet.dests == g.dests {
             packet.dests.clone()
         } else {
-            g.dests.clone().into()
+            DestList::from(g.dests.as_slice())
         };
         Forward {
             // Step 4 of Figure 7: a found next hop clears PERIMODE.
@@ -188,10 +188,7 @@ fn emit(
     match perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, &mut state) {
         Ok(next_hop) => out.push(Forward {
             next_hop,
-            packet: packet.split(
-                std::mem::take(&mut grouping.voids),
-                RoutingState::Perimeter(state),
-            ),
+            packet: packet.split(grouping.voids.as_slice(), RoutingState::Perimeter(state)),
         }),
         Err(_) => {
             // Unreachable void destinations: the copy dies here and the

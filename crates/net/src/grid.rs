@@ -1,19 +1,23 @@
 //! Uniform-grid spatial index over node positions.
 //!
 //! Neighbor queries ("all nodes within radio range of a point") dominate
-//! topology construction, so the index buckets nodes into square cells of
-//! side equal to the query radius; a range query inspects at most the 3 × 3
-//! block of cells around the query point.
+//! topology construction, so the index buckets nodes into square cells at
+//! least as wide as the query radius; a range query inspects at most the
+//! 3 × 3 block of cells around the query point.
 
 use gmp_geom::{Aabb, Point};
 
 use crate::node::NodeId;
 
 /// A uniform grid bucketing node positions for radius queries.
+///
+/// Coordinates are handled in halves (`x / 2`, and a stored half cell
+/// side), so any finite bounds and positions map to a cell without an
+/// intermediate overflowing to infinity.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
-    origin: Point,
-    cell: f64,
+    half_origin: Point,
+    half_cell: f64,
     cols: usize,
     rows: usize,
     buckets: Vec<Vec<NodeId>>,
@@ -23,17 +27,37 @@ impl GridIndex {
     /// Builds an index over `positions` covering `bounds`, tuned for radius
     /// queries of `radius` meters.
     ///
+    /// A cell is `radius` wide unless that would need more cells per side
+    /// than `⌈√n⌉` for `n` positions; then cells widen until it does not.
+    /// The grid thus never holds more than about `n` cells whatever the
+    /// area, and the 3 × 3 query stays complete because no cell is
+    /// narrower than the radius.
+    ///
     /// # Panics
     ///
     /// Panics if `radius` is not strictly positive.
     pub fn build(bounds: Aabb, radius: f64, positions: &[Point]) -> Self {
         assert!(radius > 0.0, "query radius must be positive");
-        let cell = radius;
-        let cols = (bounds.width() / cell).ceil().max(1.0) as usize + 1;
-        let rows = (bounds.height() / cell).ceil().max(1.0) as usize + 1;
+        let half_origin = Point::new(bounds.min.x * 0.5, bounds.min.y * 0.5);
+        let half_w = bounds.max.x * 0.5 - half_origin.x;
+        let half_h = bounds.max.y * 0.5 - half_origin.y;
+        let per_side = (positions.len().max(1) as f64).sqrt().ceil();
+        let half_cell = if (radius * radius).is_finite() {
+            // `MIN_POSITIVE`: a subnormal radius over a subnormal area must
+            // still leave a cell of nonzero width.
+            (radius * 0.5)
+                .max(half_w.max(half_h) / per_side)
+                .max(f64::MIN_POSITIVE)
+        } else {
+            // The squared radius overflows, so the range test accepts
+            // every pair: one query must see every node.
+            f64::MAX
+        };
+        let cells = |half_span: f64| (half_span / half_cell).ceil().max(1.0) as usize + 1;
+        let (cols, rows) = (cells(half_w), cells(half_h));
         let mut idx = GridIndex {
-            origin: bounds.min,
-            cell,
+            half_origin,
+            half_cell,
             cols,
             rows,
             buckets: vec![Vec::new(); cols * rows],
@@ -46,8 +70,8 @@ impl GridIndex {
     }
 
     fn cell_coords(&self, p: Point) -> (usize, usize) {
-        let cx = ((p.x - self.origin.x) / self.cell).floor();
-        let cy = ((p.y - self.origin.y) / self.cell).floor();
+        let cx = ((p.x * 0.5 - self.half_origin.x) / self.half_cell).floor();
+        let cy = ((p.y * 0.5 - self.half_origin.y) / self.half_cell).floor();
         let cx = cx.clamp(0.0, (self.cols - 1) as f64) as usize;
         let cy = cy.clamp(0.0, (self.rows - 1) as f64) as usize;
         (cx, cy)
@@ -90,9 +114,9 @@ impl GridIndex {
         out: &mut Vec<NodeId>,
     ) {
         debug_assert!(
-            radius <= self.cell + gmp_geom::EPS,
+            radius * 0.5 <= self.half_cell + gmp_geom::EPS,
             "query radius {radius} exceeds index cell {}",
-            self.cell
+            self.half_cell * 2.0
         );
         let (cx, cy) = self.cell_coords(center);
         let r_sq = radius * radius;
@@ -112,18 +136,6 @@ impl GridIndex {
                 }
             }
         }
-    }
-
-    /// The bounds this index was built over.
-    #[inline]
-    pub fn bounds(&self) -> Aabb {
-        Aabb::new(
-            self.origin,
-            Point::new(
-                self.origin.x + self.cols as f64 * self.cell,
-                self.origin.y + self.rows as f64 * self.cell,
-            ),
-        )
     }
 }
 

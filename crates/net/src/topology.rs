@@ -353,6 +353,15 @@ impl Topology {
         self.adjacency.row(id.index())
     }
 
+    /// `true` iff `b` is in [`Topology::neighbors`]`(a)`, in O(1): the
+    /// rows are built with exactly this test (squared distance against the
+    /// squared radio range), so it reads two positions instead of a row.
+    #[inline]
+    pub fn is_neighbor(&self, a: NodeId, b: NodeId) -> bool {
+        let rr = self.radio_range;
+        a != b && self.pos(b).dist_sq(self.pos(a)) <= rr * rr
+    }
+
     /// Full unit-disk adjacency as a CSR layout; row `i` is the sorted
     /// neighbor list of node `i`.
     #[inline]

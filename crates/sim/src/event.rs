@@ -28,11 +28,13 @@ pub enum Event {
     },
 }
 
-#[derive(Debug)]
+/// A heap entry: the event's key and the slab slot holding its event.
+/// Sift steps move these 24 bytes, never the event itself.
+#[derive(Debug, Clone, Copy)]
 struct Scheduled {
     time: f64,
     seq: u64,
-    event: Event,
+    slot: u32,
 }
 
 impl PartialEq for Scheduled {
@@ -57,9 +59,15 @@ impl Ord for Scheduled {
 }
 
 /// A time-ordered event queue.
+///
+/// The heap orders `(time, seq)` keys; the events wait in a slab whose
+/// freed slots are reused, so neither grows once a task has reached its
+/// largest backlog.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
+    slab: Vec<Option<Event>>,
+    free: Vec<u32>,
     next_seq: u64,
     now: f64,
 }
@@ -75,11 +83,13 @@ impl EventQueue {
         self.now
     }
 
-    /// Rewinds to an empty queue at time zero, keeping the heap's
-    /// allocation — a reset queue is indistinguishable from a new one
-    /// (times, tiebreak sequence numbers, and pop order all restart).
+    /// Rewinds to an empty queue at time zero, keeping the heap's and the
+    /// slab's allocations — a reset queue is indistinguishable from a new
+    /// one (times, tiebreak sequence numbers, and pop order all restart).
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
         self.next_seq = 0;
         self.now = 0.0;
     }
@@ -98,20 +108,36 @@ impl EventQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is in the past or not finite.
+    /// Panics if `time` is in the past or not finite, or if more than
+    /// `u32::MAX` events are pending at once.
     pub fn schedule(&mut self, time: f64, event: Event) {
         assert!(time.is_finite(), "event time must be finite");
         assert!(time >= self.now, "cannot schedule into the past");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("event slab exceeds u32 slots");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        self.heap.push(Scheduled { time, seq, slot });
     }
 
     /// Pops the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
         let s = self.heap.pop()?;
+        let event = self.slab[s.slot as usize]
+            .take()
+            .expect("a scheduled slot holds its event");
+        self.free.push(s.slot);
         self.now = s.time;
-        Some((s.time, s.event))
+        Some((s.time, event))
     }
 
     /// Timestamp of the earliest pending event, without popping it: what
@@ -153,6 +179,33 @@ mod tests {
         let (_, first) = q.pop().unwrap();
         match first {
             Event::Deliver { to, .. } => assert_eq!(to, NodeId(10)),
+        }
+    }
+
+    #[test]
+    fn reused_slots_keep_time_and_insertion_order() {
+        // Interleaved pops free slots that later events reuse; the pop
+        // order must still be (time, insertion), and a reset queue must
+        // replay exactly like a new one.
+        let to = |e: Event| match e {
+            Event::Deliver { to, .. } => to.0,
+        };
+        let mut q = EventQueue::new();
+        let mut popped = Vec::new();
+        for round in 0..2 {
+            q.schedule(2.0, ev(1));
+            q.schedule(1.0, ev(2));
+            q.schedule(3.0, ev(3));
+            popped.push(to(q.pop().unwrap().1));
+            q.schedule(2.0, ev(4));
+            q.schedule(1.5, ev(5));
+            popped.extend(std::iter::from_fn(|| q.pop().map(|(_, e)| to(e))));
+            assert_eq!(popped, vec![2, 5, 1, 4, 3], "round {round}");
+            popped.clear();
+            q.schedule(9.0, ev(6));
+            q.reset();
+            assert!(q.is_empty());
+            assert_eq!(q.now(), 0.0);
         }
     }
 

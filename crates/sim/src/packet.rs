@@ -49,52 +49,117 @@ pub enum RoutingState {
     },
 }
 
-/// The destination list of a packet, shared by reference count.
+/// Destination lists of at most this many ids are held inline in the
+/// packet. Most copies a GMP forwarder splits off carry a handful of
+/// destinations, so they cost no allocation; longer lists are shared.
+const INLINE_DESTS: usize = 6;
+
+/// The destination list of a packet.
 ///
-/// Retransmissions and event-queue moves copy packets far more often than
-/// anything edits their destination list, so the list is an `Arc<Vec<_>>`:
-/// cloning a packet bumps a reference count instead of copying node ids.
-/// The only mutation, [`DestList::retain`], goes through [`Arc::make_mut`]
-/// — in the simulator the packet inside a `Deliver` event is uniquely
-/// owned, so the retain edits in place without a copy.
-#[derive(Debug, Clone, Default)]
-pub struct DestList(Arc<Vec<NodeId>>);
+/// A short list (up to [`INLINE_DESTS`] ids) lives inline, so building a
+/// copy for a small group or cloning one copies a few bytes and
+/// allocates nothing. A longer list is an `Arc<Vec<_>>`: retransmissions
+/// and event-queue moves copy packets far more often than anything edits
+/// their destinations, so cloning bumps a reference count instead of
+/// copying ids. The only mutation, [`DestList::retain`], edits an inline
+/// list in place and a shared one through [`Arc::make_mut`] — in the
+/// simulator the packet inside a `Deliver` event is its list's sole
+/// owner, so that edit is in place too. Equality compares the ids, never
+/// the representation.
+#[derive(Clone)]
+pub struct DestList(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `ids[..len]`, with `len <= INLINE_DESTS`.
+    Inline {
+        len: u8,
+        ids: [NodeId; INLINE_DESTS],
+    },
+    Shared(Arc<Vec<NodeId>>),
+}
 
 impl DestList {
     /// Keeps only the destinations satisfying `f`, in place when this is
     /// the sole owner of the list.
-    pub fn retain(&mut self, f: impl FnMut(&NodeId) -> bool) {
-        Arc::make_mut(&mut self.0).retain(f);
+    pub fn retain(&mut self, mut f: impl FnMut(&NodeId) -> bool) {
+        match &mut self.0 {
+            Repr::Inline { len, ids } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if f(&ids[i]) {
+                        ids[kept] = ids[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Repr::Shared(v) => Arc::make_mut(v).retain(f),
+        }
     }
 
     /// Copies the destinations into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<NodeId> {
-        self.0.as_ref().clone()
+        self[..].to_vec()
+    }
+
+    /// The inline form of `dests`, if it is short enough.
+    fn inline(dests: &[NodeId]) -> Option<Self> {
+        let len = dests.len();
+        (len <= INLINE_DESTS).then(|| {
+            let mut ids = [NodeId(0); INLINE_DESTS];
+            ids[..len].copy_from_slice(dests);
+            DestList(Repr::Inline {
+                len: len as u8,
+                ids,
+            })
+        })
+    }
+}
+
+impl Default for DestList {
+    fn default() -> Self {
+        DestList::from(&[][..])
     }
 }
 
 impl From<Vec<NodeId>> for DestList {
     fn from(dests: Vec<NodeId>) -> Self {
-        DestList(Arc::new(dests))
+        DestList::inline(&dests).unwrap_or_else(|| DestList(Repr::Shared(Arc::new(dests))))
+    }
+}
+
+impl From<&[NodeId]> for DestList {
+    fn from(dests: &[NodeId]) -> Self {
+        DestList::inline(dests).unwrap_or_else(|| DestList(Repr::Shared(Arc::new(dests.to_vec()))))
     }
 }
 
 impl std::ops::Deref for DestList {
     type Target = [NodeId];
     fn deref(&self) -> &[NodeId] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..*len as usize],
+            Repr::Shared(v) => v,
+        }
+    }
+}
+
+impl std::fmt::Debug for DestList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("DestList").field(&&self[..]).finish()
     }
 }
 
 impl PartialEq for DestList {
     fn eq(&self, other: &Self) -> bool {
-        *self.0 == *other.0
+        self[..] == other[..]
     }
 }
 
 impl PartialEq<Vec<NodeId>> for DestList {
     fn eq(&self, other: &Vec<NodeId>) -> bool {
-        *self.0 == *other
+        self[..] == other[..]
     }
 }
 
@@ -102,7 +167,7 @@ impl<'a> IntoIterator for &'a DestList {
     type Item = &'a NodeId;
     type IntoIter = std::slice::Iter<'a, NodeId>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self[..].iter()
     }
 }
 
@@ -518,6 +583,45 @@ mod tests {
                 MulticastPacket::decode(enc.slice(0..cut)).is_err(),
                 "cut at {cut} should fail"
             );
+        }
+    }
+
+    #[test]
+    fn dest_lists_compare_by_content_across_the_inline_bound() {
+        let ids = |n: usize| (0..n as u32).map(NodeId).collect::<Vec<_>>();
+        let pos: Vec<Point> = (0..40).map(|i| Point::new(i as f64, 1.0)).collect();
+        for len in [0, 1, INLINE_DESTS, INLINE_DESTS + 1, 3 * INLINE_DESTS] {
+            let want = ids(len);
+            let list = DestList::from(&want[..]);
+            assert_eq!(
+                matches!(list.0, Repr::Inline { .. }),
+                len <= INLINE_DESTS,
+                "len {len}"
+            );
+            assert_eq!(DestList::from(want.clone()), list);
+            assert_eq!(list, want);
+            assert_eq!(list.to_vec(), want);
+            assert_eq!(format!("{list:?}"), format!("DestList({want:?})"));
+
+            // A long shared list retained down to `len` ids stays shared,
+            // equals the inline list, and leaves its clones untouched.
+            let mut shrunk = DestList::from(ids(len + 2 * INLINE_DESTS));
+            let before = shrunk.clone();
+            shrunk.retain(|d| d.index() < len);
+            assert!(matches!(shrunk.0, Repr::Shared(_)));
+            assert_eq!(shrunk, list);
+            assert_eq!(before, ids(len + 2 * INLINE_DESTS));
+
+            let mut odd = list.clone();
+            odd.retain(|d| d.0 % 2 == 1);
+            let want_odd: Vec<NodeId> = want.iter().copied().filter(|d| d.0 % 2 == 1).collect();
+            assert_eq!(odd, want_odd);
+            assert_eq!(list, want, "retain on a clone leaves the original");
+
+            for dests in [list, shrunk, odd] {
+                let p = MulticastPacket::new(3, NodeId(1), dests);
+                assert_eq!(MulticastPacket::decode(p.encode(&pos)).unwrap(), p);
+            }
         }
     }
 

@@ -14,8 +14,10 @@
 //!   — the seed kept every transmission forever, making collision checks
 //!   O(total transmissions) each.
 //! * **Reused buffers.** [`SimScratch`] owns the event queue, the collision
-//!   heap, the liveness/pending tables, and the forward buffer; a warmed
-//!   scratch runs whole tasks without allocating in the loop itself.
+//!   heap, the liveness/pending tables, the forward buffer and the
+//!   transmission log; a warmed scratch runs whole tasks without
+//!   allocating in the loop itself, and a task's report allocates once per
+//!   buffer it owns.
 //!
 //! Every configuration runs the same per-event step ([`Session::step`]):
 //! pop one delivery, apply the fault and collision verdicts, then record,
@@ -117,6 +119,26 @@ impl OnAir {
     }
 }
 
+/// The task's transmission log: kept in the scratch while the task runs,
+/// and copied into the report once, at exact size, by [`Session::finish`].
+#[derive(Debug, Default)]
+struct LinkLog {
+    links: Vec<(NodeId, NodeId)>,
+    times: Vec<f64>,
+}
+
+impl LinkLog {
+    fn clear(&mut self) {
+        self.links.clear();
+        self.times.clear();
+    }
+
+    fn push(&mut self, from: NodeId, to: NodeId, sent_at: f64) {
+        self.links.push((from, to));
+        self.times.push(sent_at);
+    }
+}
+
 /// Reusable per-task working state for [`TaskRunner::run_with_scratch`].
 ///
 /// After a warm-up task of comparable size, running further tasks through
@@ -133,10 +155,12 @@ pub struct SimScratch {
     /// exactly the sorted order the report promises.
     pending: Vec<bool>,
     pending_count: usize,
-    /// First-delivery records as `(dest, hops, time)`; folded into the
-    /// report's ordered maps once per task instead of paying tree inserts
-    /// inside the loop.
+    /// First-delivery records as `(dest, hops, time)`; sorted by node and
+    /// folded into the report's ordered maps once per task instead of
+    /// paying tree inserts inside the loop.
     deliveries: Vec<(NodeId, u32, f64)>,
+    /// Every transmission of the task, for the report's link logs.
+    log: LinkLog,
     /// The single forward buffer every [`Protocol::on_packet`] appends to.
     forwards: Vec<Forward>,
     /// Proximate failure cause per still-pending destination, recorded on
@@ -219,13 +243,12 @@ impl<'a> TaskRunner<'a> {
     /// overlaps another transmission audible at `to` (protocol-model
     /// interference), or if `to` itself was transmitting (half-duplex).
     ///
-    /// Audibility uses the precomputed adjacency as a fast accept: `to`'s
-    /// neighbor set is exactly the nodes whose squared distance rounded to
-    /// at most `rr²`, and `sqrt` of a correctly-rounded square is exact, so
-    /// membership implies `dist ≤ rr`. Non-members fall into a few-ulp
-    /// boundary band where the seed's exact `dist ≤ rr` comparison is
-    /// replayed verbatim; anything beyond the band is rejected without a
-    /// square root.
+    /// Audibility uses [`Topology::is_neighbor`] as a fast accept: it holds
+    /// exactly when the squared distance rounds to at most `rr²`, and
+    /// `sqrt` of a correctly-rounded square is exact, so it implies
+    /// `dist ≤ rr`. Other senders fall into a few-ulp boundary band where
+    /// the seed's exact `dist ≤ rr` comparison is replayed verbatim;
+    /// anything beyond the band is rejected without a square root.
     fn collides(&self, on_air: &OnAir, start: f64, end: f64, from: NodeId, to: NodeId) -> bool {
         let rr = self.config.radio_range;
         let rr2_fuzz = rr * rr * (1.0 + 1e-12);
@@ -234,7 +257,7 @@ impl<'a> TaskRunner<'a> {
             e.sender != from
                 && e.start < end
                 && start < e.end
-                && (e.sender == to || self.topo.neighbors(to).binary_search(&e.sender).is_ok() || {
+                && (e.sender == to || self.topo.is_neighbor(to, e.sender) || {
                     let d2 = self.topo.pos(e.sender).dist_sq(to_pos);
                     d2 <= rr2_fuzz && self.topo.pos(e.sender).dist(to_pos) <= rr
                 })
@@ -252,6 +275,7 @@ impl<'a> TaskRunner<'a> {
         forwards: &mut Vec<Forward>,
         queue: &mut EventQueue,
         report: &mut TaskReport,
+        log: &mut LinkLog,
         energy: &EnergyModel,
         positions: &[Point],
         on_air: &mut OnAir,
@@ -261,7 +285,7 @@ impl<'a> TaskRunner<'a> {
     ) {
         for mut fwd in forwards.drain(..) {
             assert!(
-                self.topo.neighbors(sender).contains(&fwd.next_hop),
+                self.topo.is_neighbor(sender, fwd.next_hop),
                 "protocol bug: {} forwarded to non-neighbor {}",
                 sender,
                 fwd.next_hop
@@ -290,8 +314,7 @@ impl<'a> TaskRunner<'a> {
             };
             report.transmissions += 1;
             report.bytes_transmitted += bytes;
-            report.links.push((sender, fwd.next_hop));
-            report.link_times_s.push(queue.now());
+            log.push(sender, fwd.next_hop, queue.now());
             report.energy_j += energy.transmission_energy(bytes, listeners, link_m);
             let jitter = if self.config.tx_jitter_s > 0.0 {
                 rng.gen_range(0.0..=self.config.tx_jitter_s)
@@ -373,6 +396,7 @@ impl<'a> Session<'a> {
             pending,
             pending_count,
             deliveries,
+            log,
             forwards,
             drop_cause,
             faults,
@@ -380,6 +404,7 @@ impl<'a> Session<'a> {
         queue.reset();
         on_air.clear();
         deliveries.clear();
+        log.clear();
         forwards.clear();
 
         // Failure injection: sample the Bernoulli dead nodes (never the
@@ -424,7 +449,7 @@ impl<'a> Session<'a> {
             protocol.on_task_start(&ctx, task.source, &task.dests);
 
             // The source processes the initial packet at t = 0.
-            let initial = MulticastPacket::new(0, task.source, task.dests.clone());
+            let initial = MulticastPacket::new(0, task.source, task.dests.as_slice());
             protocol.on_packet(&ctx, initial, forwards);
         }
         runner.transmit_jittered(
@@ -432,6 +457,7 @@ impl<'a> Session<'a> {
             forwards,
             queue,
             &mut report,
+            log,
             &energy,
             positions,
             on_air,
@@ -480,8 +506,9 @@ impl<'a> Session<'a> {
         self.decisions
     }
 
-    /// Runs the end-of-task sweep (delivery maps, the delivery-guarantee
-    /// oracle) and returns the report plus the scratch for reuse.
+    /// Runs the end-of-task sweep (delivery maps, link logs, the
+    /// delivery-guarantee oracle) and returns the report plus the scratch
+    /// for reuse.
     ///
     /// # Panics
     ///
@@ -497,14 +524,19 @@ impl<'a> Session<'a> {
             pending,
             pending_count,
             deliveries,
+            log,
             drop_cause,
             faults,
             ..
         } = &mut self.scratch;
+        // Ascending keys append to the maps' rightmost leaves.
+        deliveries.sort_unstable_by_key(|&(to, _, _)| to);
         for &(to, hops, time) in deliveries.iter() {
             self.report.delivery_hops.insert(to, hops);
             self.report.delivery_times_s.insert(to, time);
         }
+        self.report.links = log.links.to_vec();
+        self.report.link_times_s = log.times.to_vec();
         if *pending_count > 0 {
             // The delivery-guarantee oracle: classify every failure as
             // justified (dead/disconnected destination) or a protocol
@@ -559,6 +591,7 @@ impl<'a> Session<'a> {
             pending,
             pending_count,
             deliveries,
+            log,
             forwards,
             drop_cause,
             faults,
@@ -628,11 +661,10 @@ impl<'a> Session<'a> {
                     let listeners = topo.neighbors(from).len();
                     report.transmissions += 1;
                     report.bytes_transmitted += config.message_bytes;
-                    report.links.push((from, to));
                     report.energy_j +=
                         energy.transmission_energy(config.message_bytes, listeners, link_m);
                     let resend_at = time + backoff;
-                    report.link_times_s.push(resend_at);
+                    log.push(from, to, resend_at);
                     on_air.push(resend_at, resend_at + airtime, from);
                     queue.schedule(
                         resend_at + airtime,
@@ -673,7 +705,7 @@ impl<'a> Session<'a> {
         *decisions += 1;
         protocol.on_packet(&ctx, packet, forwards);
         runner.transmit_jittered(
-            to, forwards, queue, report, energy, positions, on_air, rng, pending, drop_cause,
+            to, forwards, queue, report, log, energy, positions, on_air, rng, pending, drop_cause,
         );
         false
     }

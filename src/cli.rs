@@ -111,9 +111,13 @@ fn cmd_generate(mut args: Vec<String>) -> Result<String, String> {
         .map(|t| MulticastTask::random(&topo, k, seed * 1000 + t as u64))
         .collect();
     let scenario = Scenario::capture(&topo, tasks);
-    scenario
-        .save(&PathBuf::from(&out))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    // Write only what `info`, `run` and `render` will load: the loader's
+    // rules (such as no two nodes at one position) apply to the draw too.
+    let text = scenario.to_text();
+    Scenario::from_text(&text).map_err(|e| {
+        format!("the drawn scenario would not load ({e}); is --area too small for --nodes {nodes}?")
+    })?;
+    std::fs::write(&out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
     Ok(format!(
         "wrote {out}: {nodes} nodes over {area}×{area} m, {} tasks of k={k}\n",
         scenario.tasks.len()
@@ -324,6 +328,10 @@ mod tests {
             &["--area", "0"],
             &["--area", "nan"],
             &["--area", "-inf"],
+            // Subnormal side: the draw puts two nodes at one position.
+            &[
+                "--area", "1e-322", "--nodes", "50", "--k", "2", "--tasks", "1",
+            ],
         ]
         .into_iter()
         .enumerate()
@@ -336,6 +344,42 @@ mod tests {
             let e = run_cli(&args).unwrap_err();
             assert!(e.contains(bad[0]), "{bad:?}: {e}");
             assert!(!std::path::Path::new(&out).exists(), "{bad:?} wrote {out}");
+        }
+    }
+
+    #[test]
+    fn huge_areas_load_without_area_sized_allocations() {
+        // Sparse deployments over areas whose radius-sized grid would have
+        // ~10^596 or ~10^14 cells: generated or hand-written, each loads,
+        // and `info` describes it.
+        for (i, extra) in [
+            &["--area", "1e300"][..],
+            &["--area", "1e7", "--radio-range", "1"],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let out = tmp(&format!("huge_{i}.txt"));
+            let mut args = s(&["generate", "--nodes", "10", "--k", "2", "--tasks", "1"]);
+            args.extend(s(extra));
+            args.push(out.clone());
+            run_cli(&args).unwrap();
+            let info = run_cli(&s(&["info", &out])).unwrap();
+            assert!(info.contains("nodes      : 10"), "{extra:?}: {info}");
+        }
+        for (i, header) in [
+            "area 0 0 1e300 1e300\nradio_range 150\n",
+            "area 0 0 1e7 1e7\nradio_range 1\n",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let path = tmp(&format!("huge_file_{i}.txt"));
+            let text = format!("{header}node 0 0 0\nnode 1 0.5 0\nnode 2 1e6 1e6\ntask 0 1 2\n");
+            std::fs::write(&path, text).unwrap();
+            let info = run_cli(&s(&["info", &path])).unwrap();
+            assert!(info.contains("nodes      : 3"), "{header}: {info}");
+            assert!(info.contains("avg degree : 0.7"), "{header}: {info}");
         }
     }
 
