@@ -1,18 +1,24 @@
-//! The paper's evaluation experiments (Figures 11, 12, 14, 15) and the
-//! DESIGN.md ablations.
+//! The sweep driver behind every figure of the paper's evaluation
+//! (Figures 11, 12, 14, 15) and the DESIGN.md ablations.
+//!
+//! A figure is a list of [`Cell`]s, each run over every network of the
+//! [`Scale`]. [`sweep`] runs the `(cell, network)` jobs on a worker pool
+//! and folds each cell's per-network [`Tally`]s in network order, so its
+//! output does not depend on the thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc;
 
+use gmp_baselines::{PbmConfig, PbmRouter, ProtocolKind};
 use gmp_geom::Point;
-use gmp_net::Topology;
-use gmp_sim::{MulticastTask, SimConfig};
+use gmp_net::{Topology, TopologyConfig};
+use gmp_sim::{FailureCause, FaultPlan, MulticastTask, SimConfig, TaskReport, TaskRunner};
 use gmp_steiner::mst::euclidean_mst;
 use gmp_steiner::rrstr::{rrstr, RadioRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use gmp_baselines::ProtocolKind;
+use crate::campaign::{add_path_stretch, crash_seed};
 
 /// How much of the paper's workload to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,134 +58,236 @@ impl Scale {
             k_values: (3..=25).step_by(2).collect(),
         }
     }
-
-    /// Total tasks per configuration point.
-    pub fn tasks(&self) -> usize {
-        self.networks * self.tasks_per_network
-    }
 }
 
-/// One aggregated line of the Figure 11/12/14 sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRow {
-    /// Number of destinations (`k`).
+/// What routes a cell's tasks. Every task gets a fresh router.
+#[derive(Debug, Clone, Copy)]
+pub enum Router {
+    /// A registered protocol, run as [`ProtocolKind::run_task`] runs it.
+    Kind(ProtocolKind),
+    /// PBM with explicit search bounds (the `pbm` ablation's grid).
+    Pbm(PbmConfig),
+}
+
+/// One point of a figure: a configuration, a destination count and a
+/// router, run over every network of the scale.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The cell's labels in its figure's table, e.g. `["12", "GMP"]`.
+    pub labels: Vec<String>,
+    /// Simulation parameters; the topology is drawn from them.
+    pub config: SimConfig,
+    /// Destinations per task.
     pub k: usize,
-    /// Protocol label.
-    pub protocol: String,
-    /// Mean transmissions per task (Fig. 11's y-axis).
-    pub total_hops: f64,
-    /// Mean per-destination hop count (Fig. 12's y-axis).
-    pub dest_hops: f64,
-    /// Mean energy per task, joules (Fig. 14's y-axis).
-    pub energy_j: f64,
-    /// Mean completion time of a task (last delivery), milliseconds —
-    /// extension metric; the paper does not report latency.
-    pub latency_ms: f64,
-    /// Tasks that failed to reach every destination.
-    pub failed_tasks: usize,
-    /// Total tasks aggregated.
-    pub tasks: usize,
+    /// The protocol under test.
+    pub router: Router,
+    /// Seed each task's link-loss stream by its task seed instead of 0, so
+    /// losses differ from task to task.
+    pub seeded_loss: bool,
+    /// `(fraction, index)`: crash this fraction of the nodes at t = 0,
+    /// placed per network by `crash_seed(network, index)`. Such a cell
+    /// also measures path stretch.
+    pub crashes: Option<(f64, usize)>,
 }
 
-/// One aggregated line of the Figure 15 density sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DensityRow {
-    /// Nodes in the network.
-    pub nodes: usize,
-    /// Protocol label.
-    pub protocol: String,
-    /// Tasks with at least one unreached destination.
-    pub failed_tasks: usize,
-    /// Tasks run.
-    pub total_tasks: usize,
-    /// Failures normalized to the paper's 1000-task total.
-    pub failed_per_1000: f64,
-}
-
-/// Worker-thread override for [`parallel_map`]; 0 means "use
-/// `available_parallelism`". Set from the `experiments` binary's
-/// `--threads` flag.
-static WORKER_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the number of worker threads used by the experiment sweeps.
-/// `0` restores the default (`available_parallelism`).
-pub fn set_worker_threads(n: usize) {
-    WORKER_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// Reads the worker-thread override from the `GMP_BENCH_THREADS`
-/// environment variable, handling malformed values the same way the
-/// `GMP_CACHE_*` knobs do: warn on stderr and fall back to the default
-/// (0 = `available_parallelism`) instead of aborting a long bench run.
-pub fn threads_from_env() -> usize {
-    let (threads, warnings) = threads_from_lookup(|key| std::env::var(key).ok());
-    for w in &warnings {
-        eprintln!("warning: {w}");
+impl Cell {
+    /// A cell with a fault-free, unseeded channel.
+    pub fn new(labels: Vec<String>, config: SimConfig, k: usize, router: Router) -> Cell {
+        Cell {
+            labels,
+            config,
+            k,
+            router,
+            seeded_loss: false,
+            crashes: None,
+        }
     }
-    threads
 }
 
-/// [`threads_from_env`] with the variable source injected, so both the
-/// accepted and rejected paths are unit-testable without touching the
-/// process environment. Returns the thread count (0 = all cores) and
-/// any warnings the caller should surface.
-pub fn threads_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> (usize, Vec<String>) {
-    let mut warnings = Vec::new();
-    let threads = gmp_sim::env_knob(
-        lookup,
-        "GMP_BENCH_THREADS",
-        0,
-        "is not a non-negative integer",
-        "all available cores",
-        |raw| raw.trim().parse::<usize>().ok(),
-        &mut warnings,
-    );
-    (threads, warnings)
+/// One cell per protocol, each labeled `labels` then the protocol's name:
+/// the shape of every figure that compares a protocol panel.
+pub fn panel(
+    labels: Vec<String>,
+    config: &SimConfig,
+    k: usize,
+    protocols: &[ProtocolKind],
+) -> Vec<Cell> {
+    protocols
+        .iter()
+        .map(|&p| {
+            let mut l = labels.clone();
+            l.push(p.to_string());
+            Cell::new(l, config.clone(), k, Router::Kind(p))
+        })
+        .collect()
 }
 
-/// Simple work-stealing parallel map preserving input order. Workers
-/// stream `(index, result)` pairs over a channel; the caller thread
-/// assembles them, so no worker ever blocks on a shared results lock.
-pub fn parallel_map<J, R, F>(jobs: Vec<J>, f: F) -> Vec<R>
+/// Number of distinct [`FailureCause`] values (histogram width).
+pub const CAUSE_COUNT: usize = FailureCause::ALL.len();
+
+/// What a cell's tasks add up to. A mean over nothing is `NaN` (0 / 0).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tally {
+    /// Tasks run.
+    pub tasks: usize,
+    /// Tasks that missed at least one destination.
+    pub failed_tasks: usize,
+    /// Transmissions.
+    pub transmissions: usize,
+    /// Bytes on air.
+    pub bytes: usize,
+    /// Energy, joules.
+    pub energy_j: f64,
+    /// Task completion times (last delivery), milliseconds.
+    pub latency_ms: f64,
+    /// Per-task mean destination hop counts, over the tasks that reached
+    /// at least one destination.
+    pub dest_hops: f64,
+    /// Tasks counted in `dest_hops`.
+    pub dest_hops_n: usize,
+    /// Destinations attempted.
+    pub dests: usize,
+    /// Destinations reached.
+    pub delivered: usize,
+    /// Failed destinations the oracle blames on the faulted graph.
+    pub justified: usize,
+    /// Failed destinations that were reachable: protocol-attributable.
+    pub unjustified: usize,
+    /// Failed destinations per [`FailureCause::index`].
+    pub causes: [usize; CAUSE_COUNT],
+    /// Delivered hop count over the shortest live hop count, summed over
+    /// delivered destinations (cells with crashes only).
+    pub stretch: f64,
+    /// Destinations counted in `stretch`.
+    pub stretch_n: usize,
+}
+
+impl Tally {
+    fn record(&mut self, task: &MulticastTask, r: &TaskReport) {
+        self.tasks += 1;
+        self.failed_tasks += usize::from(!r.delivered_all());
+        self.transmissions += r.transmissions;
+        self.bytes += r.bytes_transmitted;
+        self.energy_j += r.energy_j;
+        self.latency_ms += r.completion_time_s * 1e3;
+        if let Some(h) = r.mean_dest_hops() {
+            self.dest_hops += h;
+            self.dest_hops_n += 1;
+        }
+        self.dests += task.dests.len();
+        self.delivered += r.delivered_count();
+        for f in &r.failed_dests {
+            self.causes[f.cause.index()] += 1;
+            if f.is_justified() {
+                self.justified += 1;
+            } else {
+                self.unjustified += 1;
+            }
+        }
+    }
+
+    fn add(mut self, o: &Tally) -> Tally {
+        self.tasks += o.tasks;
+        self.failed_tasks += o.failed_tasks;
+        self.transmissions += o.transmissions;
+        self.bytes += o.bytes;
+        self.energy_j += o.energy_j;
+        self.latency_ms += o.latency_ms;
+        self.dest_hops += o.dest_hops;
+        self.dest_hops_n += o.dest_hops_n;
+        self.dests += o.dests;
+        self.delivered += o.delivered;
+        self.justified += o.justified;
+        self.unjustified += o.unjustified;
+        for (slot, c) in self.causes.iter_mut().zip(o.causes) {
+            *slot += c;
+        }
+        self.stretch += o.stretch;
+        self.stretch_n += o.stretch_n;
+        self
+    }
+
+    /// Mean transmissions per task (Fig. 11's y-axis).
+    pub fn mean_transmissions(&self) -> f64 {
+        self.transmissions as f64 / self.tasks as f64
+    }
+
+    /// Mean bytes on air per task.
+    pub fn mean_bytes(&self) -> f64 {
+        self.bytes as f64 / self.tasks as f64
+    }
+
+    /// Mean energy per task, joules (Fig. 14's y-axis).
+    pub fn mean_energy_j(&self) -> f64 {
+        self.energy_j / self.tasks as f64
+    }
+
+    /// Mean task completion time, milliseconds (an extension metric).
+    pub fn mean_latency_ms(&self) -> f64 {
+        self.latency_ms / self.tasks as f64
+    }
+
+    /// Mean per-destination hop count over the tasks that reached a
+    /// destination (Fig. 12's y-axis; `NaN` when none did).
+    pub fn mean_dest_hops(&self) -> f64 {
+        self.dest_hops / self.dest_hops_n as f64
+    }
+
+    /// Failed tasks normalized to the paper's 1000-task total.
+    pub fn failed_per_1000(&self) -> f64 {
+        self.failed_tasks as f64 * 1000.0 / self.tasks as f64
+    }
+
+    /// Destinations reached over destinations attempted.
+    pub fn delivery_ratio(&self) -> f64 {
+        self.delivered as f64 / self.dests.max(1) as f64
+    }
+
+    /// Unjustified failures over destinations attempted.
+    pub fn unjustified_rate(&self) -> f64 {
+        self.unjustified as f64 / self.dests.max(1) as f64
+    }
+
+    /// Mean path stretch over delivered destinations (1.0 = shortest
+    /// possible; `NaN` when nothing was measured).
+    pub fn mean_path_stretch(&self) -> f64 {
+        self.stretch / self.stretch_n as f64
+    }
+}
+
+/// Runs `f` over `jobs` on `threads` scoped workers (0 = all cores) and
+/// returns the results in job order. Workers claim the next job index and
+/// send `(index, result)` back; the caller slots each into place.
+pub fn parallel_map<J, R, F>(threads: usize, jobs: &[J], f: F) -> Vec<R>
 where
-    J: Send + Sync,
+    J: Sync,
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    let n = jobs.len();
-    let next = AtomicUsize::new(0);
-    let workers = match WORKER_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4),
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(4, |p| p.get()),
         n => n,
     }
-    .min(n.max(1));
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    .min(jobs.len().max(1));
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    let mut results: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(|_| {
-                let tx = tx;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(&jobs[i]);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
+            let (tx, next, f) = (tx.clone(), &next, &f);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                match jobs.get(i) {
+                    Some(job) if tx.send((i, f(job))).is_ok() => {}
+                    _ => break,
                 }
             });
         }
         drop(tx);
-        for (i, r) in rx.iter() {
+        for (i, r) in rx {
             results[i] = Some(r);
         }
-    })
-    .expect("worker panicked");
+    });
     results
         .into_iter()
         .map(|r| r.expect("job completed"))
@@ -194,222 +302,68 @@ pub(crate) fn task_seed(net: usize, task: usize) -> u64 {
     net as u64 * 10_000 + task as u64 + 1
 }
 
-/// Runs the destination-count sweep shared by Figures 11, 12, and 14:
-/// for each `k`, each protocol routes the *same* random tasks over the
-/// *same* random networks; means are reported per protocol per `k`.
-pub fn destination_sweep(
-    config: &SimConfig,
-    scale: &Scale,
-    protocols: &[ProtocolKind],
-) -> Vec<SweepRow> {
-    let topologies: Vec<Arc<Topology>> = (0..scale.networks)
-        .map(|i| Arc::new(Topology::random(&config.topology_config(), network_seed(i))))
+/// Runs every cell over the scale's networks on `threads` workers (0 = all
+/// cores) and returns one tally per cell. Every protocol sees the same
+/// networks and the same tasks; cells whose configurations draw the same
+/// topology share it, built once per network.
+pub fn sweep(cells: &[Cell], scale: &Scale, threads: usize) -> Vec<Tally> {
+    let nets = scale.networks;
+    if nets == 0 {
+        return vec![Tally::default(); cells.len()];
+    }
+    let mut shapes: Vec<TopologyConfig> = Vec::new();
+    let shape_of: Vec<usize> = cells
+        .iter()
+        .map(|c| {
+            let shape = c.config.topology_config();
+            shapes.iter().position(|s| *s == shape).unwrap_or_else(|| {
+                shapes.push(shape);
+                shapes.len() - 1
+            })
+        })
         .collect();
-
-    // One job per (k, network, protocol) triple.
-    struct Job {
-        k: usize,
-        net: usize,
-        proto: ProtocolKind,
-    }
-    struct Partial {
-        k: usize,
-        label: String,
-        total_hops: f64,
-        dest_hops: f64,
-        dest_hops_n: usize,
-        energy: f64,
-        latency: f64,
-        failed: usize,
-    }
-    let mut jobs = Vec::new();
-    for &k in &scale.k_values {
-        for net in 0..scale.networks {
-            for &proto in protocols {
-                jobs.push(Job { k, net, proto });
-            }
-        }
-    }
-    let partials = parallel_map(jobs, |job| {
-        let topo = &topologies[job.net];
-        let mut total_hops = 0.0;
-        let mut dest_hops = 0.0;
-        let mut dest_hops_n = 0usize;
-        let mut energy = 0.0;
-        let mut latency = 0.0;
-        let mut failed = 0usize;
-        for t in 0..scale.tasks_per_network {
-            let task = MulticastTask::random(topo, job.k, task_seed(job.net, t));
-            let report = job.proto.run_task(topo, config, &task);
-            total_hops += report.transmissions as f64;
-            energy += report.energy_j;
-            latency += report.completion_time_s * 1e3;
-            if let Some(h) = report.mean_dest_hops() {
-                dest_hops += h;
-                dest_hops_n += 1;
-            }
-            if !report.delivered_all() {
-                failed += 1;
-            }
-        }
-        Partial {
-            k: job.k,
-            label: job.proto.to_string(),
-            total_hops,
-            dest_hops,
-            dest_hops_n,
-            energy,
-            latency,
-            failed,
-        }
+    let grid = |n: usize| -> Vec<(usize, usize)> {
+        (0..n)
+            .flat_map(|a| (0..nets).map(move |b| (a, b)))
+            .collect()
+    };
+    let topologies = parallel_map(threads, &grid(shapes.len()), |&(s, net)| {
+        Topology::random(&shapes[s], network_seed(net))
     });
-
-    // Aggregate over networks.
-    let mut rows: Vec<SweepRow> = Vec::new();
-    for &k in &scale.k_values {
-        for proto in protocols {
-            let label = proto.to_string();
-            let mut th = 0.0;
-            let mut dh = 0.0;
-            let mut dh_n = 0usize;
-            let mut en = 0.0;
-            let mut lat = 0.0;
-            let mut failed = 0usize;
-            for p in &partials {
-                if p.k == k && p.label == label {
-                    th += p.total_hops;
-                    dh += p.dest_hops;
-                    dh_n += p.dest_hops_n;
-                    en += p.energy;
-                    lat += p.latency;
-                    failed += p.failed;
-                }
-            }
-            let tasks = scale.tasks();
-            rows.push(SweepRow {
-                k,
-                protocol: label,
-                total_hops: th / tasks as f64,
-                dest_hops: if dh_n > 0 { dh / dh_n as f64 } else { f64::NAN },
-                energy_j: en / tasks as f64,
-                latency_ms: lat / tasks as f64,
-                failed_tasks: failed,
-                tasks,
-            });
-        }
-    }
-    rows
-}
-
-/// Runs the Figure 15 density sweep: node counts 400–1000, `k = 12`,
-/// per-destination hop cap 100, counting failed tasks.
-pub fn density_sweep(
-    base: &SimConfig,
-    scale: &Scale,
-    protocols: &[ProtocolKind],
-    node_counts: &[usize],
-) -> Vec<DensityRow> {
-    struct Job {
-        nodes: usize,
-        net: usize,
-        proto: ProtocolKind,
-    }
-    let mut jobs = Vec::new();
-    for &nodes in node_counts {
-        for net in 0..scale.networks {
-            for &proto in protocols {
-                jobs.push(Job { nodes, net, proto });
-            }
-        }
-    }
-    let partials = parallel_map(jobs, |job| {
-        let config = base
-            .clone()
-            .with_node_count(job.nodes)
-            .with_max_path_hops(100);
-        let topo = Topology::random(&config.topology_config(), network_seed(job.net));
-        let mut failed = 0usize;
-        for t in 0..scale.tasks_per_network {
-            let task = MulticastTask::random(&topo, 12, task_seed(job.net, t));
-            let report = job.proto.run_task(&topo, &config, &task);
-            if !report.delivered_all() {
-                failed += 1;
-            }
-        }
-        (job.nodes, job.proto.to_string(), failed)
+    let partials = parallel_map(threads, &grid(cells.len()), |&(c, net)| {
+        let topo = &topologies[shape_of[c] * nets + net];
+        run_cell(&cells[c], topo, net, scale.tasks_per_network)
     });
+    partials
+        .chunks(nets)
+        .map(|p| p.iter().fold(Tally::default(), Tally::add))
+        .collect()
+}
 
-    let mut rows = Vec::new();
-    for &nodes in node_counts {
-        for proto in protocols {
-            let label = proto.to_string();
-            let failed: usize = partials
-                .iter()
-                .filter(|p| p.0 == nodes && p.1 == label)
-                .map(|p| p.2)
-                .sum();
-            let total = scale.tasks();
-            rows.push(DensityRow {
-                nodes,
-                protocol: label,
-                failed_tasks: failed,
-                total_tasks: total,
-                failed_per_1000: failed as f64 * 1000.0 / total as f64,
-            });
+fn run_cell(cell: &Cell, topo: &Topology, net: usize, tasks: usize) -> Tally {
+    let mut config = cell.config.clone();
+    if let Some((fraction, index)) = cell.crashes {
+        let seed = crash_seed(net, index);
+        config.faults = FaultPlan::random_crashes(config.node_count, fraction, 0.0, seed);
+    }
+    let runner = TaskRunner::new(topo, &config);
+    let mut tally = Tally::default();
+    for t in 0..tasks {
+        let seed = task_seed(net, t);
+        let task = MulticastTask::random(topo, cell.k, seed);
+        let loss_seed = if cell.seeded_loss { seed } else { 0 };
+        // `run_task` resolves `PbmBest`'s per-task λ sweep, at loss seed 0.
+        let report = match cell.router {
+            Router::Kind(kind) if loss_seed == 0 => kind.run_task(topo, &config, &task),
+            Router::Kind(kind) => runner.run_seeded(kind.build().as_mut(), &task, loss_seed),
+            Router::Pbm(c) => runner.run_seeded(&mut PbmRouter::with_config(c), &task, loss_seed),
+        };
+        tally.record(&task, &report);
+        if cell.crashes.is_some() {
+            add_path_stretch(&mut tally, topo, &config, &task, &report);
         }
     }
-    rows
-}
-
-/// One line of the header-overhead ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadRow {
-    /// Number of destinations.
-    pub k: usize,
-    /// Mean bytes on air per task with the paper's fixed 128 B messages.
-    pub fixed_bytes: f64,
-    /// Mean bytes on air per task with real encoded packet sizes.
-    pub encoded_bytes: f64,
-    /// Mean energy with fixed messages, joules.
-    pub fixed_energy_j: f64,
-    /// Mean energy with encoded sizes, joules.
-    pub encoded_energy_j: f64,
-}
-
-/// DESIGN.md ablation: how much does carrying the destination list in the
-/// header actually cost, compared with the paper's fixed 128 B abstraction?
-pub fn overhead_ablation(config: &SimConfig, scale: &Scale) -> Vec<OverheadRow> {
-    let topologies: Vec<Arc<Topology>> = (0..scale.networks)
-        .map(|i| Arc::new(Topology::random(&config.topology_config(), network_seed(i))))
-        .collect();
-    let jobs: Vec<usize> = scale.k_values.clone();
-    parallel_map(jobs, |&k| {
-        let mut fixed_bytes = 0.0;
-        let mut encoded_bytes = 0.0;
-        let mut fixed_energy = 0.0;
-        let mut encoded_energy = 0.0;
-        let fixed_cfg = config.clone().with_size_dependent_airtime(false);
-        let enc_cfg = config.clone().with_size_dependent_airtime(true);
-        for (net, topo) in topologies.iter().enumerate() {
-            for t in 0..scale.tasks_per_network {
-                let task = MulticastTask::random(topo, k, task_seed(net, t));
-                let rf = ProtocolKind::Gmp.run_task(topo, &fixed_cfg, &task);
-                let re = ProtocolKind::Gmp.run_task(topo, &enc_cfg, &task);
-                fixed_bytes += rf.bytes_transmitted as f64;
-                encoded_bytes += re.bytes_transmitted as f64;
-                fixed_energy += rf.energy_j;
-                encoded_energy += re.energy_j;
-            }
-        }
-        let n = scale.tasks() as f64;
-        OverheadRow {
-            k,
-            fixed_bytes: fixed_bytes / n,
-            encoded_bytes: encoded_bytes / n,
-            fixed_energy_j: fixed_energy / n,
-            encoded_energy_j: encoded_energy / n,
-        }
-    })
+    tally
 }
 
 /// One line of the rrSTR-vs-MST tree-length ablation.
@@ -464,259 +418,6 @@ pub fn tree_length_ablation(ns: &[usize], samples: usize) -> Vec<TreeLengthRow> 
         .collect()
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_config() -> SimConfig {
-        SimConfig::paper()
-            .with_area_side(600.0)
-            .with_node_count(250)
-    }
-
-    fn tiny_scale() -> Scale {
-        Scale {
-            networks: 1,
-            tasks_per_network: 5,
-            k_values: vec![4, 8],
-        }
-    }
-
-    #[test]
-    fn bench_threads_env_accepts_valid_values() {
-        let (threads, warnings) = threads_from_lookup(|_| Some("8".into()));
-        assert_eq!(threads, 8);
-        assert!(warnings.is_empty());
-
-        // 0 is the explicit "all cores" spelling, not an error.
-        let (threads, warnings) = threads_from_lookup(|_| Some("0".into()));
-        assert_eq!(threads, 0);
-        assert!(warnings.is_empty());
-
-        let (threads, warnings) = threads_from_lookup(|_| None);
-        assert_eq!(threads, 0);
-        assert!(warnings.is_empty());
-    }
-
-    #[test]
-    fn bench_threads_env_warns_and_defaults_on_malformed_values() {
-        for bad in ["four", "-2", "2.5", ""] {
-            let (threads, warnings) = threads_from_lookup(|key| {
-                assert_eq!(key, "GMP_BENCH_THREADS");
-                Some(bad.into())
-            });
-            assert_eq!(threads, 0, "malformed {bad:?} must fall back to default");
-            assert_eq!(warnings.len(), 1, "malformed {bad:?} must warn");
-            assert!(
-                warnings[0].contains("GMP_BENCH_THREADS"),
-                "warning names the knob: {}",
-                warnings[0]
-            );
-        }
-    }
-
-    #[test]
-    fn destination_sweep_produces_full_grid() {
-        let rows = destination_sweep(
-            &tiny_config(),
-            &tiny_scale(),
-            &[ProtocolKind::Gmp, ProtocolKind::Lgs],
-        );
-        assert_eq!(rows.len(), 4); // 2 k-values × 2 protocols
-        for r in &rows {
-            assert!(r.total_hops > 0.0, "{r:?}");
-            assert!(r.energy_j > 0.0);
-            assert!(r.dest_hops > 0.0);
-            assert_eq!(r.tasks, 5);
-        }
-    }
-
-    #[test]
-    fn sweep_total_hops_grow_with_k() {
-        let rows = destination_sweep(&tiny_config(), &tiny_scale(), &[ProtocolKind::Gmp]);
-        assert!(rows[1].total_hops > rows[0].total_hops);
-    }
-
-    #[test]
-    fn density_sweep_reports_normalized_failures() {
-        let rows = density_sweep(
-            &tiny_config(),
-            &tiny_scale(),
-            &[ProtocolKind::Gmp],
-            &[150, 250],
-        );
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.total_tasks, 5);
-            assert!(r.failed_per_1000 >= 0.0);
-            assert!(r.failed_tasks <= r.total_tasks);
-        }
-        // Sparser networks can only fail at least as often (statistically;
-        // with one network this is not guaranteed, so only sanity-check the
-        // monotone normalization here).
-        assert!(rows[0].failed_per_1000 >= rows[0].failed_tasks as f64);
-    }
-
-    #[test]
-    fn overhead_ablation_shows_encoded_sizes() {
-        let rows = overhead_ablation(&tiny_config(), &tiny_scale());
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.fixed_bytes > 0.0);
-            assert!(r.encoded_bytes > 0.0);
-            assert!(r.fixed_energy_j > 0.0);
-        }
-    }
-
-    #[test]
-    fn tree_length_ablation_stays_in_sane_bounds() {
-        let rows = tree_length_ablation(&[5, 10], 40);
-        for r in &rows {
-            // Lower bound: no Euclidean Steiner tree beats the Steiner
-            // ratio against the MST. Upper bound: rrSTR never exceeds the
-            // star of direct spokes, which stays within a small factor of
-            // the MST for uniform points.
-            assert!(
-                r.ratio >= 0.866 - 1e-6,
-                "no Steiner tree beats the Steiner ratio: {r:?}"
-            );
-            assert!(r.ratio <= 1.6, "rrSTR should stay near the MST: {r:?}");
-            assert!(r.virtuals >= 0.0 && r.virtuals < r.n as f64);
-        }
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect::<Vec<i32>>(), |&x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<i32>>());
-    }
-}
-
-/// One line of the planar-subgraph ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanarRow {
-    /// Nodes in the network.
-    pub nodes: usize,
-    /// Planar graph label ("Gabriel" / "RNG").
-    pub planar: String,
-    /// Failed tasks.
-    pub failed_tasks: usize,
-    /// Total tasks.
-    pub total_tasks: usize,
-    /// Mean total hops per task.
-    pub total_hops: f64,
-}
-
-/// DESIGN.md ablation: does GMP's perimeter mode behave differently on
-/// the Gabriel graph versus the sparser Relative Neighborhood Graph?
-/// Run at sparse densities where perimeter mode actually fires.
-pub fn planar_ablation(base: &SimConfig, scale: &Scale, node_counts: &[usize]) -> Vec<PlanarRow> {
-    let kinds = [
-        (crate::experiments_planar::GABRIEL, "Gabriel"),
-        (crate::experiments_planar::RNG, "RNG"),
-    ];
-    let mut jobs = Vec::new();
-    for &nodes in node_counts {
-        for (kind, label) in kinds {
-            for net in 0..scale.networks {
-                jobs.push((nodes, kind, label, net));
-            }
-        }
-    }
-    let partials = parallel_map(jobs, |&(nodes, kind, label, net)| {
-        let mut config = base.clone().with_node_count(nodes).with_max_path_hops(100);
-        config.planar = kind;
-        let topo = Topology::random(&config.topology_config(), network_seed(net));
-        let mut failed = 0usize;
-        let mut hops = 0.0;
-        for t in 0..scale.tasks_per_network {
-            let task = MulticastTask::random(&topo, 12, task_seed(net, t));
-            let report = ProtocolKind::Gmp.run_task(&topo, &config, &task);
-            hops += report.transmissions as f64;
-            if !report.delivered_all() {
-                failed += 1;
-            }
-        }
-        (nodes, label, failed, hops)
-    });
-    let mut rows = Vec::new();
-    for &nodes in node_counts {
-        for (_, label) in kinds {
-            let mut failed = 0usize;
-            let mut hops = 0.0;
-            for p in &partials {
-                if p.0 == nodes && p.1 == label {
-                    failed += p.2;
-                    hops += p.3;
-                }
-            }
-            rows.push(PlanarRow {
-                nodes,
-                planar: label.to_string(),
-                failed_tasks: failed,
-                total_tasks: scale.tasks(),
-                total_hops: hops / scale.tasks() as f64,
-            });
-        }
-    }
-    rows
-}
-
-/// One line of the PBM search-bound sensitivity ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PbmSensitivityRow {
-    /// Subset-size cap.
-    pub max_subset_size: usize,
-    /// Candidate neighbors admitted per destination.
-    pub candidates_per_dest: usize,
-    /// Mean total hops per task.
-    pub total_hops: f64,
-    /// Mean per-destination hops.
-    pub dest_hops: f64,
-    /// Wall-clock seconds spent routing (decision-cost proxy).
-    pub routing_seconds: f64,
-}
-
-/// DESIGN.md ablation: how sensitive is the bounded PBM search to its
-/// caps? Justifies the default bounds used everywhere else.
-pub fn pbm_sensitivity(config: &SimConfig, scale: &Scale, k: usize) -> Vec<PbmSensitivityRow> {
-    use gmp_baselines::{PbmConfig, PbmRouter};
-    use gmp_sim::TaskRunner;
-    let topologies: Vec<Arc<Topology>> = (0..scale.networks)
-        .map(|i| Arc::new(Topology::random(&config.topology_config(), network_seed(i))))
-        .collect();
-    let grid: Vec<(usize, usize)> = vec![(1, 2), (2, 2), (3, 3), (4, 3), (5, 4)];
-    parallel_map(grid, |&(cap, cands)| {
-        let pbm_config = PbmConfig {
-            lambda: 0.3,
-            max_subset_size: cap,
-            candidates_per_dest: cands,
-            max_candidates: 12,
-        };
-        let mut hops = 0.0;
-        let mut dest_hops = 0.0;
-        let start = std::time::Instant::now();
-        for (net, topo) in topologies.iter().enumerate() {
-            let runner = TaskRunner::new(topo, config);
-            for t in 0..scale.tasks_per_network {
-                let task = MulticastTask::random(topo, k, task_seed(net, t));
-                let mut pbm = PbmRouter::with_config(pbm_config);
-                let report = runner.run(&mut pbm, &task);
-                hops += report.transmissions as f64;
-                dest_hops += report.mean_dest_hops().unwrap_or(0.0);
-            }
-        }
-        let n = scale.tasks() as f64;
-        PbmSensitivityRow {
-            max_subset_size: cap,
-            candidates_per_dest: cands,
-            total_hops: hops / n,
-            dest_hops: dest_hops / n,
-            routing_seconds: start.elapsed().as_secs_f64(),
-        }
-    })
-}
-
 /// One line of the position-staleness ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MobilityRow {
@@ -742,7 +443,6 @@ pub fn mobility_ablation(
 ) -> Vec<MobilityRow> {
     use gmp_core::GmpRouter;
     use gmp_net::mobility::{broken_link_fraction, RandomWaypoint};
-    use gmp_sim::TaskRunner;
 
     let config = SimConfig::paper().with_node_count(node_count);
     let mut model = RandomWaypoint::new(
@@ -753,332 +453,144 @@ pub fn mobility_ablation(
         (0.0, 2.0),
         seed,
     );
-    let stale = Arc::new(model.snapshot());
+    let stale = model.snapshot();
 
     // GMP routes computed once on the stale snapshot.
-    let mut all_links: Vec<(gmp_net::NodeId, gmp_net::NodeId)> = Vec::new();
-    {
-        let runner = TaskRunner::new(&stale, &config);
-        for t in 0..tasks {
+    let runner = TaskRunner::new(&stale, &config);
+    let all_links: Vec<(gmp_net::NodeId, gmp_net::NodeId)> = (0..tasks)
+        .flat_map(|t| {
             let task = MulticastTask::random(&stale, 12, task_seed(0, t));
-            let report = runner.run(&mut GmpRouter::new(), &task);
-            all_links.extend(report.links);
-        }
-    }
+            runner.run(&mut GmpRouter::new(), &task).links
+        })
+        .collect();
 
-    let mut rows = Vec::new();
     let mut elapsed = 0.0f64;
-    for &delta in staleness {
+    let rows = staleness.iter().map(|&delta| {
         assert!(delta >= elapsed, "staleness values must be non-decreasing");
         model.advance(delta - elapsed);
         elapsed = delta;
         let fresh = model.snapshot();
-        let broken = broken_link_fraction(&stale, &fresh);
-        let stale_tx = if all_links.is_empty() {
-            0.0
-        } else {
-            all_links
-                .iter()
-                .filter(|&&(from, to)| !fresh.neighbors(from).contains(&to))
-                .count() as f64
-                / all_links.len() as f64
-        };
-        rows.push(MobilityRow {
+        let stale_links = (all_links.iter())
+            .filter(|&&(from, to)| !fresh.neighbors(from).contains(&to))
+            .count();
+        MobilityRow {
             staleness_s: delta,
-            broken_links: broken,
-            stale_tx_fraction: stale_tx,
-        });
-    }
-    rows
-}
-
-/// One line of the power-control ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerRow {
-    /// Number of destinations.
-    pub k: usize,
-    /// Protocol label.
-    pub protocol: String,
-    /// Mean energy per task under the paper's fixed 1.3 W model, joules.
-    pub fixed_energy_j: f64,
-    /// Mean energy per task with distance-scaled transmit power, joules.
-    pub controlled_energy_j: f64,
-}
-
-/// Extension ablation: does GMP's energy advantage survive when short
-/// hops are genuinely cheap (distance-scaled transmit power, path-loss
-/// exponent α = 2, 0.1 W electronics overhead)?
-pub fn power_ablation(
-    base: &SimConfig,
-    scale: &Scale,
-    protocols: &[ProtocolKind],
-) -> Vec<PowerRow> {
-    let fixed_cfg = base.clone();
-    let pc_cfg = base
-        .clone()
-        .with_power_control(gmp_sim::config::PowerControl {
-            alpha: 2.0,
-            overhead_w: 0.1,
-        });
-    let topologies: Vec<Arc<Topology>> = (0..scale.networks)
-        .map(|i| Arc::new(Topology::random(&base.topology_config(), network_seed(i))))
-        .collect();
-    let mut jobs = Vec::new();
-    for &k in &scale.k_values {
-        for &proto in protocols {
-            jobs.push((k, proto));
+            broken_links: broken_link_fraction(&stale, &fresh),
+            stale_tx_fraction: stale_links as f64 / all_links.len().max(1) as f64,
         }
-    }
-    parallel_map(jobs, |&(k, proto)| {
-        let mut fixed = 0.0;
-        let mut controlled = 0.0;
-        for (net, topo) in topologies.iter().enumerate() {
-            for t in 0..scale.tasks_per_network {
-                let task = MulticastTask::random(topo, k, task_seed(net, t));
-                fixed += proto.run_task(topo, &fixed_cfg, &task).energy_j;
-                controlled += proto.run_task(topo, &pc_cfg, &task).energy_j;
-            }
-        }
-        let n = scale.tasks() as f64;
-        PowerRow {
-            k,
-            protocol: proto.to_string(),
-            fixed_energy_j: fixed / n,
-            controlled_energy_j: controlled / n,
-        }
-    })
-}
-
-/// One line of the radio-range sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangeRow {
-    /// Radio range in meters.
-    pub radio_range: f64,
-    /// Protocol label.
-    pub protocol: String,
-    /// Mean total hops per task.
-    pub total_hops: f64,
-    /// Mean energy per task, joules.
-    pub energy_j: f64,
-    /// Failed tasks out of the scale's total.
-    pub failed_tasks: usize,
-}
-
-/// Extension sweep: the paper fixes the radio range at 150 m; this sweep
-/// varies it at fixed node count, trading per-hop reach (fewer hops)
-/// against listener cost (denser neighborhoods overhear every
-/// transmission) and void frequency (short ranges fragment the network).
-pub fn range_sweep(
-    base: &SimConfig,
-    scale: &Scale,
-    protocols: &[ProtocolKind],
-    ranges: &[f64],
-) -> Vec<RangeRow> {
-    struct Job {
-        rr: f64,
-        net: usize,
-        proto: ProtocolKind,
-    }
-    let mut jobs = Vec::new();
-    for &rr in ranges {
-        for net in 0..scale.networks {
-            for &proto in protocols {
-                jobs.push(Job { rr, net, proto });
-            }
-        }
-    }
-    let partials = parallel_map(jobs, |job| {
-        let config = base.clone().with_radio_range(job.rr);
-        let topo = Topology::random(&config.topology_config(), network_seed(job.net));
-        let mut hops = 0.0;
-        let mut energy = 0.0;
-        let mut failed = 0usize;
-        for t in 0..scale.tasks_per_network {
-            let task = MulticastTask::random(&topo, 12, task_seed(job.net, t));
-            let report = job.proto.run_task(&topo, &config, &task);
-            hops += report.transmissions as f64;
-            energy += report.energy_j;
-            if !report.delivered_all() {
-                failed += 1;
-            }
-        }
-        (job.rr, job.proto.to_string(), hops, energy, failed)
     });
-    let mut rows = Vec::new();
-    for &rr in ranges {
-        for proto in protocols {
-            let label = proto.to_string();
-            let mut hops = 0.0;
-            let mut energy = 0.0;
-            let mut failed = 0usize;
-            for p in &partials {
-                if p.0 == rr && p.1 == label {
-                    hops += p.2;
-                    energy += p.3;
-                    failed += p.4;
-                }
-            }
-            rows.push(RangeRow {
-                radio_range: rr,
-                protocol: label,
-                total_hops: hops / scale.tasks() as f64,
-                energy_j: energy / scale.tasks() as f64,
-                failed_tasks: failed,
-            });
-        }
-    }
-    rows
+    rows.collect()
 }
 
-/// One line of the lossy-channel Figure 15 variant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LossRow {
-    /// Nodes in the network.
-    pub nodes: usize,
-    /// Per-transmission loss probability.
-    pub loss: f64,
-    /// Protocol label.
-    pub protocol: String,
-    /// Failed tasks normalized to 1000.
-    pub failed_per_1000: f64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Fidelity ablation: re-run the Figure 15 density sweep over a lossy
-/// channel. The paper's ns-2 substrate loses packets to 802.11
-/// contention, which is what produced its non-zero failure counts at
-/// 400–1000 nodes; injecting a per-transmission loss probability
-/// recovers that regime on our otherwise ideal channel.
-pub fn loss_sweep(
-    base: &SimConfig,
-    scale: &Scale,
-    protocols: &[ProtocolKind],
-    node_counts: &[usize],
-    losses: &[f64],
-) -> Vec<LossRow> {
-    struct Job {
-        nodes: usize,
-        loss: f64,
-        net: usize,
-        proto: ProtocolKind,
+    fn tiny_config() -> SimConfig {
+        SimConfig::paper()
+            .with_area_side(600.0)
+            .with_node_count(250)
     }
-    let mut jobs = Vec::new();
-    for &nodes in node_counts {
-        for &loss in losses {
-            for net in 0..scale.networks {
-                for &proto in protocols {
-                    jobs.push(Job {
-                        nodes,
-                        loss,
-                        net,
-                        proto,
-                    });
-                }
-            }
+
+    fn tiny_scale() -> Scale {
+        Scale {
+            networks: 1,
+            tasks_per_network: 5,
+            k_values: vec![4, 8],
         }
     }
-    let partials = parallel_map(jobs, |job| {
-        let config = base
-            .clone()
-            .with_node_count(job.nodes)
-            .with_max_path_hops(100)
-            .with_link_loss_prob(job.loss);
-        let topo = Topology::random(&config.topology_config(), network_seed(job.net));
-        let runner = gmp_sim::TaskRunner::new(&topo, &config);
-        let mut failed = 0usize;
-        for t in 0..scale.tasks_per_network {
-            let task = MulticastTask::random(&topo, 12, task_seed(job.net, t));
-            // Loss must differ per task: seed the loss stream by task.
-            let report = match job.proto {
-                ProtocolKind::PbmBest => job.proto.run_task(&topo, &config, &task),
-                _ => {
-                    let mut p = job.proto.build();
-                    runner.run_seeded(p.as_mut(), &task, task_seed(job.net, t))
-                }
-            };
-            if !report.delivered_all() {
-                failed += 1;
-            }
-        }
-        (job.nodes, job.loss, job.proto.to_string(), failed)
-    });
-    let mut rows = Vec::new();
-    for &nodes in node_counts {
-        for &loss in losses {
-            for proto in protocols {
-                let label = proto.to_string();
-                let failed: usize = partials
-                    .iter()
-                    .filter(|p| p.0 == nodes && p.1 == loss && p.2 == label)
-                    .map(|p| p.3)
-                    .sum();
-                rows.push(LossRow {
-                    nodes,
-                    loss,
-                    protocol: label,
-                    failed_per_1000: failed as f64 * 1000.0 / scale.tasks() as f64,
-                });
-            }
+
+    /// The Figure 11/12/14 shape: `k × protocols` on one configuration.
+    fn destination_cells(protocols: &[ProtocolKind]) -> Vec<Cell> {
+        tiny_scale()
+            .k_values
+            .iter()
+            .flat_map(|&k| panel(vec![k.to_string()], &tiny_config(), k, protocols))
+            .collect()
+    }
+
+    #[test]
+    fn destination_sweep_produces_full_grid() {
+        let cells = destination_cells(&[ProtocolKind::Gmp, ProtocolKind::Lgs]);
+        let rows = sweep(&cells, &tiny_scale(), 0);
+        assert_eq!(rows.len(), 4); // 2 k-values × 2 protocols
+        for r in &rows {
+            assert!(r.mean_transmissions() > 0.0, "{r:?}");
+            assert!(r.mean_energy_j() > 0.0);
+            assert!(r.mean_dest_hops() > 0.0);
+            assert_eq!(r.tasks, 5);
         }
     }
-    rows
-}
 
-/// One line of the MAC retransmission-tax ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MacTaxRow {
-    /// Protocol label.
-    pub protocol: String,
-    /// Mean transmissions per task on the ideal MAC.
-    pub ideal_tx: f64,
-    /// Mean transmissions per task with collisions + jitter + ARQ.
-    pub mac_tx: f64,
-    /// Relative retransmission overhead (`mac/ideal − 1`).
-    pub tax: f64,
-    /// Tasks that still failed under the MAC model.
-    pub failed_tasks: usize,
-}
+    #[test]
+    fn sweep_total_hops_grow_with_k() {
+        let rows = sweep(&destination_cells(&[ProtocolKind::Gmp]), &tiny_scale(), 0);
+        assert!(rows[1].mean_transmissions() > rows[0].mean_transmissions());
+    }
 
-/// Fidelity ablation: the extra transmissions each protocol pays when the
-/// channel has collisions and 802.11-style retransmissions. Parallel-
-/// branch protocols (PBM, GRD) collide with themselves and pay heavily;
-/// tree protocols barely notice.
-pub fn mac_tax(
-    base: &SimConfig,
-    scale: &Scale,
-    protocols: &[ProtocolKind],
-    k: usize,
-) -> Vec<MacTaxRow> {
-    let ideal = base.clone();
-    let mac = base
-        .clone()
-        .with_collisions(true)
-        .with_tx_jitter(0.005)
-        .with_retransmissions(7);
-    let topologies: Vec<Arc<Topology>> = (0..scale.networks)
-        .map(|i| Arc::new(Topology::random(&base.topology_config(), network_seed(i))))
-        .collect();
-    parallel_map(protocols.to_vec(), |&proto| {
-        let mut ideal_tx = 0.0;
-        let mut mac_tx = 0.0;
-        let mut failed = 0usize;
-        for (net, topo) in topologies.iter().enumerate() {
-            for t in 0..scale.tasks_per_network {
-                let task = MulticastTask::random(topo, k, task_seed(net, t));
-                ideal_tx += proto.run_task(topo, &ideal, &task).transmissions as f64;
-                let r = proto.run_task(topo, &mac, &task);
-                mac_tx += r.transmissions as f64;
-                if !r.delivered_all() {
-                    failed += 1;
-                }
-            }
+    #[test]
+    fn density_sweep_reports_normalized_failures() {
+        let cells: Vec<Cell> = [150, 250]
+            .iter()
+            .flat_map(|&n| {
+                let config = tiny_config().with_node_count(n).with_max_path_hops(100);
+                panel(vec![n.to_string()], &config, 12, &[ProtocolKind::Gmp])
+            })
+            .collect();
+        let rows = sweep(&cells, &tiny_scale(), 0);
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert_eq!(r.tasks, 5);
+            assert!(r.failed_per_1000() >= 0.0);
+            assert!(r.failed_tasks <= r.tasks);
         }
-        let n = scale.tasks() as f64;
-        MacTaxRow {
-            protocol: proto.to_string(),
-            ideal_tx: ideal_tx / n,
-            mac_tx: mac_tx / n,
-            tax: mac_tx / ideal_tx - 1.0,
-            failed_tasks: failed,
+        // Sparser networks can only fail at least as often (statistically;
+        // with one network this is not guaranteed, so only sanity-check the
+        // monotone normalization here).
+        assert!(rows[0].failed_per_1000() >= rows[0].failed_tasks as f64);
+    }
+
+    #[test]
+    fn overhead_ablation_shows_encoded_sizes() {
+        let cells: Vec<Cell> = [(4, false), (4, true), (8, false), (8, true)]
+            .iter()
+            .flat_map(|&(k, encoded)| {
+                let config = tiny_config().with_size_dependent_airtime(encoded);
+                panel(vec![k.to_string()], &config, k, &[ProtocolKind::Gmp])
+            })
+            .collect();
+        let tallies = sweep(&cells, &tiny_scale(), 0);
+        let rows: Vec<&[Tally]> = tallies.chunks(2).collect();
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            let (fixed, encoded) = (&r[0], &r[1]);
+            assert!(fixed.mean_bytes() > 0.0);
+            assert!(encoded.mean_bytes() > 0.0);
+            assert!(fixed.mean_energy_j() > 0.0);
         }
-    })
+    }
+
+    #[test]
+    fn tree_length_ablation_stays_in_sane_bounds() {
+        let rows = tree_length_ablation(&[5, 10], 40);
+        for r in &rows {
+            // Lower bound: no Euclidean Steiner tree beats the Steiner
+            // ratio against the MST. Upper bound: rrSTR never exceeds the
+            // star of direct spokes, which stays within a small factor of
+            // the MST for uniform points.
+            assert!(
+                r.ratio >= 0.866 - 1e-6,
+                "no Steiner tree beats the Steiner ratio: {r:?}"
+            );
+            assert!(r.ratio <= 1.6, "rrSTR should stay near the MST: {r:?}");
+            assert!(r.virtuals >= 0.0 && r.virtuals < r.n as f64);
+        }
+    }
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let jobs: Vec<i32> = (0..100).collect();
+        let out = parallel_map(0, &jobs, |&x| x * 2);
+        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<i32>>());
+    }
 }

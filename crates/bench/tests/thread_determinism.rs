@@ -1,15 +1,13 @@
-//! The experiment sweeps fan tasks out over a work-stealing thread pool;
-//! scheduling is nondeterministic, so the aggregation must not be. Workers
-//! return per-job partials that the caller folds in job-index order, which
-//! makes every floating-point sum independent of which thread ran what
-//! when. This test pins that: the same sweep on one worker and on eight
-//! must serialize to byte-identical rows.
-//!
-//! This file holds exactly one test: the worker-thread override is
-//! process-global, and a concurrently running sibling would race on it.
+//! The experiment sweeps fan `(cell, network)` jobs out over a
+//! work-stealing thread pool; scheduling is nondeterministic, so the
+//! aggregation must not be. Workers return per-network tallies that the
+//! caller folds in network order, which makes every floating-point sum
+//! independent of which thread ran what when. This test pins that: the
+//! same sweep on one worker and on eight must serialize to byte-identical
+//! tallies.
 
 use gmp_baselines::ProtocolKind;
-use gmp_bench::experiments::{destination_sweep, set_worker_threads, Scale};
+use gmp_bench::experiments::{panel, sweep, Cell, Scale};
 use gmp_sim::SimConfig;
 
 #[test]
@@ -21,12 +19,12 @@ fn destination_sweep_rows_are_identical_across_thread_counts() {
         k_values: vec![3, 9],
     };
     let protocols = [ProtocolKind::Gmp, ProtocolKind::Grd];
+    let cells: Vec<Cell> = (scale.k_values.iter())
+        .flat_map(|&k| panel(vec![k.to_string()], &config, k, &protocols))
+        .collect();
 
-    set_worker_threads(1);
-    let single = destination_sweep(&config, &scale, &protocols);
-    set_worker_threads(8);
-    let eight = destination_sweep(&config, &scale, &protocols);
-    set_worker_threads(0);
+    let single = sweep(&cells, &scale, 1);
+    let eight = sweep(&cells, &scale, 8);
 
     assert_eq!(single.len(), eight.len());
     for (a, b) in single.iter().zip(&eight) {

@@ -157,7 +157,7 @@ impl CacheConfig {
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
         let mut config = CacheConfig::default();
         let mut warnings = Vec::new();
-        config.capacity = gmp_sim::env_knob(
+        config.capacity = crate::knob::env_knob(
             &lookup,
             "GMP_CACHE_CAPACITY",
             config.capacity,

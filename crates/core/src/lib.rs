@@ -40,6 +40,7 @@
 pub mod cache;
 pub mod geocast;
 pub mod grouping;
+mod knob;
 pub mod router;
 
 pub use cache::{CacheConfig, CacheStats, ConcurrentTreeCache, TreeCache};

@@ -2,10 +2,9 @@
 
 use gmp_faults::FaultPlan;
 use gmp_net::{PlanarKind, TopologyConfig};
-use serde::{Deserialize, Serialize};
 
 /// All knobs of a simulation run. [`SimConfig::paper`] reproduces Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Side of the square deployment area, meters (paper: 1000).
     pub area_side: f64,
@@ -65,7 +64,7 @@ pub struct SimConfig {
 }
 
 /// Distance-scaled transmit power parameters (extension).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerControl {
     /// Path-loss exponent (free space 2, typical ground deployments 2–4).
     pub alpha: f64,
@@ -73,8 +72,8 @@ pub struct PowerControl {
     pub overhead_w: f64,
 }
 
-/// Serializable mirror of [`PlanarKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// Configuration mirror of [`PlanarKind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanarKindConfig {
     /// Gabriel graph.
     #[default]
@@ -281,17 +280,9 @@ mod tests {
     }
 
     #[test]
-    fn config_round_trips_through_serde() {
+    fn debug_output_shows_the_node_count() {
         let c = SimConfig::paper();
-        let json = serde_json_like(&c);
-        assert!(json.contains("1000"));
-    }
-
-    // Serde smoke test without serde_json: use the Debug + a Serializer
-    // shim via toml-ish check. We just ensure Serialize derives compile
-    // and Debug output is stable enough to grep.
-    fn serde_json_like(c: &SimConfig) -> String {
-        format!("{c:?}")
+        assert!(format!("{c:?}").contains("1000"));
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod config;
 pub mod energy;
 pub mod event;
 pub mod geocast;
-pub mod knob;
 pub mod metrics;
 pub mod packet;
 pub mod protocol;
@@ -46,7 +45,6 @@ pub use config::SimConfig;
 pub use energy::EnergyModel;
 pub use geocast::{GeocastReport, GeocastRunner, GeocastTask};
 pub use gmp_faults::{FailedDest, FailureCause, FaultEvent, FaultPlan, FaultRegion};
-pub use knob::env_knob;
 pub use metrics::TaskReport;
 pub use packet::{DestList, MulticastPacket, RoutingState};
 pub use protocol::{Forward, NodeContext, Protocol};

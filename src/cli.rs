@@ -118,10 +118,22 @@ fn cmd_generate(mut args: Vec<String>) -> Result<String, String> {
         format!("the drawn scenario would not load ({e}); is --area too small for --nodes {nodes}?")
     })?;
     std::fs::write(&out, text).map_err(|e| format!("cannot write {out}: {e}"))?;
+    let side = area_side(area);
     Ok(format!(
-        "wrote {out}: {nodes} nodes over {area}×{area} m, {} tasks of k={k}\n",
+        "wrote {out}: {nodes} nodes over {side}×{side} m, {} tasks of k={k}\n",
         scenario.tasks.len()
     ))
+}
+
+/// A deployment-area side in meters, as `generate` and `info` print it:
+/// plain between 1 mm and 1e9 m, in scientific notation outside, so that
+/// no finite area prints hundreds of digits.
+fn area_side(m: f64) -> String {
+    if m == 0.0 || (1e-3..1e9).contains(&m.abs()) {
+        format!("{m}")
+    } else {
+        format!("{m:e}")
+    }
 }
 
 fn load(path: &str) -> Result<Scenario, String> {
@@ -134,11 +146,12 @@ fn cmd_info(args: Vec<String>) -> Result<String, String> {
     let topo = scenario.topology();
     let mut out = String::new();
     let _ = writeln!(out, "scenario   : {path}");
+    let (width, height) = (topo.area().width(), topo.area().height());
     let _ = writeln!(
         out,
-        "area       : {:.0} × {:.0} m",
-        topo.area().width(),
-        topo.area().height()
+        "area       : {} × {} m",
+        area_side(width),
+        area_side(height)
     );
     let _ = writeln!(out, "nodes      : {}", topo.len());
     let _ = writeln!(out, "radio range: {:.0} m", topo.radio_range());
@@ -363,9 +376,17 @@ mod tests {
             let mut args = s(&["generate", "--nodes", "10", "--k", "2", "--tasks", "1"]);
             args.extend(s(extra));
             args.push(out.clone());
-            run_cli(&args).unwrap();
+            let wrote = run_cli(&args).unwrap();
             let info = run_cli(&s(&["info", &out])).unwrap();
             assert!(info.contains("nodes      : 10"), "{extra:?}: {info}");
+            // Both commands print the area in a bounded form.
+            let area_line = info.lines().find(|l| l.starts_with("area")).unwrap();
+            if extra[1] == "1e300" {
+                assert!(wrote.contains("over 1e300×1e300 m"), "{wrote}");
+                assert_eq!(area_line, "area       : 1e300 × 1e300 m");
+            }
+            assert!(wrote.len() < 100 + out.len(), "{wrote}");
+            assert!(area_line.len() < 60, "{area_line}");
         }
         for (i, header) in [
             "area 0 0 1e300 1e300\nradio_range 150\n",
