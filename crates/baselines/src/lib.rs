@@ -8,14 +8,9 @@
 //!   destinations with an MST over `{current node} ∪ destinations` and
 //!   unicasts each group toward its subtree-root destination; has no void
 //!   recovery (the paper's Fig. 15 exploits exactly that).
-//! * [`lgk::LgkRouter`] — Location-Guided K-ary tree \[5\]: the sibling LGT
-//!   scheme; picks the `k` nearest destinations as subtree roots.
 //! * [`grd::GrdRouter`] — independent greedy (GPSR) unicast per
 //!   destination: minimizes per-destination hops, serving as the paper's
 //!   lower bound in Fig. 12.
-//! * [`dsm::DsmRouter`] — Dynamic Source Multicast \[6\]: the source
-//!   freezes a Euclidean MST over the members and embeds it in the packet
-//!   (related-work baseline, Section 1).
 //! * [`smt::SmtRouter`] — the centralized Steiner heuristic \[16\]: the
 //!   source knows the whole topology, computes a KMB tree, and embeds the
 //!   explicit routing tree in the packet.
@@ -34,11 +29,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod dsm;
 pub(crate) mod facecore;
 pub mod grd;
 pub mod gvg;
-pub mod lgk;
 pub mod lgs;
 pub mod mcfr;
 pub mod pbm;
@@ -46,10 +39,8 @@ pub mod protocols;
 pub mod smt;
 pub(crate) mod util;
 
-pub use dsm::DsmRouter;
 pub use grd::GrdRouter;
 pub use gvg::GvgRouter;
-pub use lgk::LgkRouter;
 pub use lgs::LgsRouter;
 pub use mcfr::McfrRouter;
 pub use pbm::{PbmConfig, PbmRouter};

@@ -9,9 +9,7 @@ use gmp_core::GmpRouter;
 use gmp_net::Topology;
 use gmp_sim::{MulticastTask, Protocol, SimConfig, TaskReport, TaskRunner};
 
-use crate::{
-    DsmRouter, GrdRouter, GvgRouter, LgkRouter, LgsRouter, McfrRouter, PbmRouter, SmtRouter,
-};
+use crate::{GrdRouter, GvgRouter, LgsRouter, McfrRouter, PbmRouter, SmtRouter};
 
 /// The λ values the paper sweeps for PBM ("we have run the same routing
 /// task seven times, with the value of λ varying from 0 to 0.6").
@@ -31,12 +29,8 @@ pub enum ProtocolKind {
     PbmBest,
     /// Location-guided Steiner (LGT's LGS).
     Lgs,
-    /// Location-guided k-ary tree (LGT's LGK) — extension.
-    Lgk(usize),
     /// Independent greedy unicast per destination.
     Grd,
-    /// Dynamic Source Multicast (frozen source-side MST) — extension.
-    Dsm,
     /// Centralized KMB Steiner tree with source routing.
     Smt,
     /// Concurrent face routing multicast (guaranteed delivery) — extension.
@@ -47,15 +41,13 @@ pub enum ProtocolKind {
 }
 
 /// Every kind a name selects, in the order error messages list them.
-/// `PBM` and `LGK` name their default parameterizations.
-const NAMED: [(&str, ProtocolKind); 10] = [
+/// `PBM` names its per-task best-λ sweep.
+const NAMED: [(&str, ProtocolKind); 8] = [
     ("gmp", ProtocolKind::Gmp),
     ("gmpnr", ProtocolKind::GmpNr),
     ("pbm", ProtocolKind::PbmBest),
     ("lgs", ProtocolKind::Lgs),
-    ("lgk", ProtocolKind::Lgk(2)),
     ("grd", ProtocolKind::Grd),
-    ("dsm", ProtocolKind::Dsm),
     ("smt", ProtocolKind::Smt),
     ("mcfr", ProtocolKind::Mcfr),
     ("gvg", ProtocolKind::Gvg),
@@ -80,8 +72,8 @@ impl fmt::Display for UnknownProtocol {
 impl std::error::Error for UnknownProtocol {}
 
 /// Parses a protocol name, case-insensitively and ignoring surrounding
-/// whitespace: `gmp`, `gmpnr`, `pbm`, `lgs`, `lgk`, `grd`, `dsm`, `smt`,
-/// `mcfr` or `gvg`.
+/// whitespace: `gmp`, `gmpnr`, `pbm`, `lgs`, `grd`, `smt`, `mcfr` or
+/// `gvg`.
 impl FromStr for ProtocolKind {
     type Err = UnknownProtocol;
 
@@ -104,9 +96,7 @@ impl fmt::Display for ProtocolKind {
             ProtocolKind::Pbm(l) => write!(f, "PBM(λ={l})"),
             ProtocolKind::PbmBest => f.write_str("PBM"),
             ProtocolKind::Lgs => f.write_str("LGS"),
-            ProtocolKind::Lgk(k) => write!(f, "LGK(k={k})"),
             ProtocolKind::Grd => f.write_str("GRD"),
-            ProtocolKind::Dsm => f.write_str("DSM"),
             ProtocolKind::Smt => f.write_str("SMT"),
             ProtocolKind::Mcfr => f.write_str("MCFR"),
             ProtocolKind::Gvg => f.write_str("GVG"),
@@ -126,9 +116,7 @@ impl ProtocolKind {
             // the default λ.
             ProtocolKind::PbmBest => Box::new(PbmRouter::new()),
             ProtocolKind::Lgs => Box::new(LgsRouter::new()),
-            ProtocolKind::Lgk(k) => Box::new(LgkRouter::new(k)),
             ProtocolKind::Grd => Box::new(GrdRouter::new()),
-            ProtocolKind::Dsm => Box::new(DsmRouter::new()),
             ProtocolKind::Smt => Box::new(SmtRouter::new()),
             ProtocolKind::Mcfr => Box::new(McfrRouter::new()),
             ProtocolKind::Gvg => Box::new(GvgRouter::new()),
@@ -178,9 +166,7 @@ mod tests {
             ProtocolKind::Pbm(0.2),
             ProtocolKind::PbmBest,
             ProtocolKind::Lgs,
-            ProtocolKind::Lgk(2),
             ProtocolKind::Grd,
-            ProtocolKind::Dsm,
             ProtocolKind::Smt,
             ProtocolKind::Mcfr,
             ProtocolKind::Gvg,
@@ -195,7 +181,7 @@ mod tests {
         assert_eq!(dedup.len(), labels.len());
         // Every parameterless kind parses back from its own label.
         for kind in kinds {
-            if !matches!(kind, ProtocolKind::Pbm(_) | ProtocolKind::Lgk(_)) {
+            if !matches!(kind, ProtocolKind::Pbm(_)) {
                 assert_eq!(kind.to_string().parse(), Ok(kind));
             }
         }
@@ -213,9 +199,7 @@ mod tests {
             ProtocolKind::GmpNr,
             ProtocolKind::Pbm(0.3),
             ProtocolKind::Lgs,
-            ProtocolKind::Lgk(2),
             ProtocolKind::Grd,
-            ProtocolKind::Dsm,
             ProtocolKind::Smt,
             ProtocolKind::Mcfr,
             ProtocolKind::Gvg,
@@ -237,7 +221,6 @@ mod tests {
             ProtocolKind::PbmBest,
             ProtocolKind::Lgs,
             ProtocolKind::Grd,
-            ProtocolKind::Dsm,
             ProtocolKind::Smt,
             ProtocolKind::Mcfr,
             ProtocolKind::Gvg,
@@ -245,11 +228,11 @@ mod tests {
             assert_eq!(kind.to_string().to_lowercase().parse(), Ok(kind));
             assert_eq!(kind.to_string().to_uppercase().parse(), Ok(kind));
         }
-        assert_eq!(" lgk ".parse(), Ok(ProtocolKind::Lgk(2)));
+        assert_eq!(" lgs ".parse(), Ok(ProtocolKind::Lgs));
         let unknown = "Nope".parse::<ProtocolKind>().unwrap_err().to_string();
         assert_eq!(
             unknown,
-            "unknown protocol `nope` (expected gmp|gmpnr|pbm|lgs|lgk|grd|dsm|smt|mcfr|gvg)"
+            "unknown protocol `nope` (expected gmp|gmpnr|pbm|lgs|grd|smt|mcfr|gvg)"
         );
         assert!("".parse::<ProtocolKind>().is_err());
     }

@@ -3,7 +3,7 @@
 //! silently except by documented void behaviour), and next hops must be
 //! real neighbors.
 
-use gmp_baselines::{DsmRouter, GrdRouter, LgkRouter, LgsRouter, PbmRouter, SmtRouter};
+use gmp_baselines::{GrdRouter, LgsRouter, PbmRouter, SmtRouter};
 use gmp_net::{NodeId, Topology};
 use gmp_sim::{MulticastPacket, MulticastTask, NodeContext, Protocol, SimConfig};
 use proptest::prelude::*;
@@ -14,10 +14,7 @@ fn protocols() -> Vec<Box<dyn Protocol>> {
         Box::new(PbmRouter::with_lambda(0.3)),
         Box::new(PbmRouter::with_lambda(0.6)),
         Box::new(LgsRouter::new()),
-        Box::new(LgkRouter::new(2)),
-        Box::new(LgkRouter::new(3)),
         Box::new(GrdRouter::new()),
-        Box::new(DsmRouter::new()),
         Box::new(SmtRouter::new()),
     ]
 }

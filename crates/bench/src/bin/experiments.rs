@@ -27,14 +27,16 @@
 //! * `guarantees` — fault-injection crash sweep, oracle-judged, with the
 //!   guaranteed-delivery protocols (MCFR/GVG) beside the best-effort
 //!   panel and path stretch/transmission columns: the
-//!   guarantees-vs-overhead frontier (`BENCH_6.json`);
+//!   guarantees-vs-overhead frontier (`BENCH_6.json`). After writing it,
+//!   the command checks the delivery certificate on every row
+//!   ([`campaign::check_certificate`]) and exits 1 if a row breaks it;
 //!
 //! or `all` for everything. Results are printed as tables and written as
 //! CSV (plus SVG charts for the figures) under `--out` (default
 //! `results/`). `--threads N` caps the worker pool (default, or 0: all
-//! cores). `--protocols GMP,MCFR,…` filters the `guarantees` panel
-//! (unknown names warn and are skipped; an empty selection falls back to
-//! the default).
+//! cores). `--protocols GMP,MCFR,…` filters the `guarantees` panel; with
+//! any other command, an unknown name or a list that selects nothing, the
+//! command prints its usage and exits 1.
 //!
 //! Every command except `treelen` and `mobility` is a list of cells
 //! (configuration, destination count, router) swept over the scale's
@@ -55,7 +57,7 @@ use gmp_baselines::ProtocolKind::{self, Gmp, GmpNr, Grd, Gvg, Lgs, Mcfr, Pbm, Pb
 use gmp_bench::campaign::{self, hop_overhead};
 use gmp_bench::experiments::{mobility_ablation, tree_length_ablation};
 use gmp_bench::{panel, render_table, sweep, write_csv, Cell, LineChart, Router, Scale, Tally};
-use gmp_sim::config::PlanarKindConfig::{Gabriel, RelativeNeighborhood};
+use gmp_net::PlanarKind::{Gabriel, RelativeNeighborhood};
 use gmp_sim::config::PowerControl;
 use gmp_sim::{FailureCause, SimConfig};
 
@@ -68,23 +70,20 @@ struct Args {
     protocols: Option<Vec<ProtocolKind>>,
 }
 
-/// Parses the `--protocols` comma-separated name list: unknown names are
-/// reported on stderr and skipped, and a list that selects nothing falls
-/// back to the command's default panel.
-fn parse_protocol_filter(list: &str) -> Option<Vec<ProtocolKind>> {
+/// Parses the `--protocols` comma-separated name list, which must name at
+/// least one protocol and only known ones.
+fn parse_protocol_filter(list: &str) -> Result<Vec<ProtocolKind>, String> {
     let mut kinds: Vec<ProtocolKind> = Vec::new();
     for token in list.split(',').filter(|t| !t.trim().is_empty()) {
-        match token.parse() {
-            Ok(kind) if kinds.contains(&kind) => {}
-            Ok(kind) => kinds.push(kind),
-            Err(e) => eprintln!("warning: {e} in --protocols; ignoring it"),
+        let kind = token.parse().map_err(|e| format!("{e} in --protocols"))?;
+        if !kinds.contains(&kind) {
+            kinds.push(kind);
         }
     }
     if kinds.is_empty() {
-        eprintln!("warning: --protocols {list:?} selects nothing; using the default panel");
-        return None;
+        return Err(format!("--protocols {list:?} selects no protocol"));
     }
-    Some(kinds)
+    Ok(kinds)
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -110,13 +109,18 @@ fn parse_args() -> Result<Args, String> {
                 let list = it
                     .next()
                     .ok_or("--protocols needs a comma-separated list")?;
-                protocols = parse_protocol_filter(&list);
+                protocols = Some(parse_protocol_filter(&list)?);
             }
             c if !c.starts_with('-') && command.is_none() => command = Some(c.to_string()),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
     let command = command.unwrap_or_else(|| "all".into());
+    if protocols.is_some() && command != "guarantees" {
+        return Err(format!(
+            "--protocols filters only `guarantees`, not `{command}`"
+        ));
+    }
     Ok(Args {
         command,
         scale,
@@ -520,8 +524,9 @@ fn bench6_json(scale: &Scale, cells: &[Cell], tallies: &[Tally]) -> String {
     json + "  ]\n}\n"
 }
 
-/// Runs one command; `false` if there is no such command.
-fn run(cmd: &str, args: &Args, every: bool) -> bool {
+/// Runs one command; `Err` if there is no such command or `guarantees`
+/// finds its delivery certificate broken.
+fn run(cmd: &str, args: &Args, every: bool) -> Result<(), String> {
     let out = &args.out;
     match cmd {
         "treelen" => {
@@ -559,7 +564,7 @@ fn run(cmd: &str, args: &Args, every: bool) -> bool {
         }
         _ => {
             let Some((cells, figures)) = plan(cmd, args, every) else {
-                return false;
+                return Err(format!("unknown command: {cmd}\n{USAGE}"));
             };
             let scale = &args.scale;
             let (networks, tasks) = (scale.networks, scale.tasks_per_network);
@@ -577,10 +582,16 @@ fn run(cmd: &str, args: &Args, every: bool) -> bool {
                 let path = out.join("BENCH_6.json");
                 let json = bench6_json(scale, &cells, &tallies);
                 report(&path, fs::write(&path, json));
+                campaign::check_certificate(&cells, &tallies)
+                    .map_err(|e| format!("delivery certificate broken at {e}"))?;
+                eprintln!(
+                    "guarantees: the delivery certificate holds on all {} rows",
+                    cells.len()
+                );
             }
         }
     }
-    true
+    Ok(())
 }
 
 const USAGE: &str = "usage: experiments <all|fig11|fig12|fig14|figlatency|fig15|overhead|treelen|planar|pbm|mobility|power|range|loss|fig15mac|mactax|guarantees> \
@@ -606,9 +617,8 @@ fn main() -> ExitCode {
         false => vec![&args.command],
     };
     for cmd in commands {
-        if !run(cmd, &args, every) {
-            eprintln!("error: unknown command: {cmd}");
-            eprintln!("{USAGE}");
+        if let Err(e) = run(cmd, &args, every) {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     }

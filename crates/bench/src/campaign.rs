@@ -18,7 +18,7 @@ use gmp_baselines::ProtocolKind;
 use gmp_net::{NodeId, Topology};
 use gmp_sim::{FaultEvent, FaultPlan, MulticastTask, SimConfig, TaskReport};
 
-use crate::experiments::{panel, Cell, Tally};
+use crate::experiments::{panel, Cell, Router, Tally};
 
 /// The campaign's cells, `intensities × protocols`, labeled by intensity
 /// (`{:.2}`) and protocol. Every protocol routes the *same* tasks over the
@@ -49,6 +49,39 @@ pub fn hop_overhead(tally: &Tally, base: &Tally) -> f64 {
     } else {
         f64::NAN
     }
+}
+
+/// Checks the delivery certificate on every row of a campaign: each row's
+/// delivered, justified and unjustified destinations add up to its total;
+/// MCFR and GVG never fail unjustified and keep their mean path stretch
+/// below 1.5; GMP never fails unjustified, and SMT does not at intensity
+/// 0. `Err` names the first row that breaks it.
+pub fn check_certificate(cells: &[Cell], tallies: &[Tally]) -> Result<(), String> {
+    use ProtocolKind::{Gmp, Gvg, Mcfr, Smt};
+    for (cell, t) in cells.iter().zip(tallies) {
+        let Router::Kind(kind) = cell.router else {
+            continue;
+        };
+        let fraction = cell.crashes.map_or(0.0, |(fraction, _)| fraction);
+        let stretch = t.mean_path_stretch();
+        let broken = if t.delivered + t.justified + t.unjustified != t.dests {
+            format!(
+                "{} delivered + {} justified + {} unjustified != {} destinations",
+                t.delivered, t.justified, t.unjustified, t.dests
+            )
+        } else if t.unjustified > 0
+            && (matches!(kind, Mcfr | Gvg | Gmp) || kind == Smt && fraction == 0.0)
+        {
+            format!("unjustified failures: {}", t.unjustified)
+        } else if matches!(kind, Mcfr | Gvg) && (stretch.is_nan() || stretch >= 1.5) {
+            format!("mean path stretch {stretch} is not below 1.5")
+        } else {
+            continue;
+        };
+        let (intensity, protocol) = (&cell.labels[0], &cell.labels[1]);
+        return Err(format!("intensity {intensity}, {protocol}: {broken}"));
+    }
+    Ok(())
 }
 
 /// Per-node liveness implied by a campaign fault plan at t = 0 (the
@@ -185,6 +218,27 @@ mod tests {
                 cell.labels[1], cell.labels[0]
             );
         }
+    }
+
+    #[test]
+    fn certificate_names_the_first_row_it_rejects() {
+        let config = tiny_config().with_max_path_hops(4000);
+        let rows = campaign(&config, &[Gmp, Smt, Mcfr], &[0.0, 0.1]);
+        let (cells, mut tallies): (Vec<Cell>, Vec<Tally>) = rows.into_iter().unzip();
+        assert_eq!(check_certificate(&cells, &tallies), Ok(()));
+        // MCFR's crashed row misses one destination it could have reached…
+        tallies[5].delivered -= 1;
+        tallies[5].unjustified += 1;
+        let unjustified = format!("unjustified failures: {}", tallies[5].unjustified);
+        let err = check_certificate(&cells, &tallies).unwrap_err();
+        assert_eq!(err, format!("intensity 0.10, MCFR: {unjustified}"));
+        // …or counts more destinations than it was given.
+        tallies[5].delivered += 1;
+        let err = check_certificate(&cells, &tallies).unwrap_err();
+        assert!(
+            err.starts_with("intensity 0.10, MCFR: ") && err.contains("!="),
+            "{err}"
+        );
     }
 
     #[test]

@@ -294,11 +294,13 @@ where
         .collect()
 }
 
-pub(crate) fn network_seed(i: usize) -> u64 {
+/// Seed of a sweep's `i`-th network ([`Topology::random`]).
+pub fn network_seed(i: usize) -> u64 {
     0xA5A5_0000 + i as u64
 }
 
-pub(crate) fn task_seed(net: usize, task: usize) -> u64 {
+/// Seed of the `task`-th task on network `net` ([`MulticastTask::random`]).
+pub fn task_seed(net: usize, task: usize) -> u64 {
     net as u64 * 10_000 + task as u64 + 1
 }
 

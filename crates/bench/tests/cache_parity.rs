@@ -19,7 +19,7 @@
 //! benches rely on: reusing a protocol instance across tasks is
 //! observationally identical to constructing it fresh.
 
-use gmp_baselines::{DsmRouter, GrdRouter, LgkRouter, LgsRouter, PbmRouter, SmtRouter};
+use gmp_baselines::{GrdRouter, LgsRouter, PbmRouter, SmtRouter};
 use gmp_core::GmpRouter;
 use gmp_geom::Point;
 use gmp_net::Topology;
@@ -34,8 +34,6 @@ fn protocols() -> Vec<Box<dyn Protocol>> {
         Box::new(GmpRouter::new()),
         Box::new(GrdRouter::new()),
         Box::new(LgsRouter::new()),
-        Box::new(LgkRouter::default()),
-        Box::new(DsmRouter::new()),
         Box::new(PbmRouter::new()),
         Box::new(SmtRouter::new()),
     ]

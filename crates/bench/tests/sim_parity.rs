@@ -12,7 +12,7 @@
 //! none of it may change a single simulated outcome: the [`TaskReport`]s
 //! must be bit-identical on every protocol, configuration, and seed.
 
-use gmp_baselines::{DsmRouter, GrdRouter, LgkRouter, LgsRouter, PbmRouter, SmtRouter};
+use gmp_baselines::{GrdRouter, LgsRouter, PbmRouter, SmtRouter};
 use gmp_core::GmpRouter;
 use gmp_net::Topology;
 use gmp_sim::{MulticastTask, Protocol, SimConfig, SimScratch, TaskReport, TaskRunner};
@@ -275,8 +275,6 @@ fn protocols() -> Vec<Box<dyn Protocol>> {
         Box::new(GmpRouter::new()),
         Box::new(GrdRouter::new()),
         Box::new(LgsRouter::new()),
-        Box::new(LgkRouter::default()),
-        Box::new(DsmRouter::new()),
         Box::new(PbmRouter::new()),
         Box::new(SmtRouter::new()),
     ]

@@ -38,12 +38,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
-pub mod geocast;
 pub mod grouping;
 mod knob;
 pub mod router;
 
 pub use cache::{CacheConfig, CacheStats, ConcurrentTreeCache, TreeCache};
-pub use geocast::GmpGeocast;
 pub use grouping::{group_destinations, CoveredGroup, DecisionScratch, Grouping};
 pub use router::{GmpConfig, GmpRouter};

@@ -32,14 +32,12 @@ pub mod aabb;
 pub mod fermat;
 pub mod point;
 pub mod predicates;
-pub mod region;
 pub mod segment;
 
 pub use aabb::Aabb;
 pub use fermat::{fermat_point, fermat_point_batch, FermatKind, FermatPoint};
 pub use point::{dist_batch, Point, Vec2};
 pub use predicates::Orientation;
-pub use region::{convex_hull, Region};
 pub use segment::Segment;
 
 /// Tolerance used for "collocated" tests throughout the workspace, in meters.

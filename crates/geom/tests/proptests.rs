@@ -2,7 +2,6 @@
 
 use gmp_geom::fermat::{fermat_point, weiszfeld};
 use gmp_geom::predicates::{in_diametral_disk, in_lune, orientation, Orientation};
-use gmp_geom::region::{convex_hull, Region};
 use gmp_geom::{Point, Segment};
 use proptest::prelude::*;
 
@@ -76,29 +75,6 @@ proptest! {
         if in_diametral_disk(p, a, b) {
             prop_assert!(in_lune(p, a, b), "Gabriel region must be inside the RNG region");
         }
-    }
-
-    #[test]
-    fn hull_contains_all_points(points in proptest::collection::vec(pt(), 3..40)) {
-        let hull = convex_hull(&points);
-        prop_assume!(hull.len() >= 3);
-        let region = Region::convex_polygon(hull.clone());
-        for p in &points {
-            prop_assert!(region.contains(*p), "{p} escaped its own hull");
-        }
-        // Hull vertices are drawn from the input.
-        for h in &hull {
-            prop_assert!(points.iter().any(|p| p.almost_eq(*h)));
-        }
-    }
-
-    #[test]
-    fn region_anchor_is_inside_its_bounding_box(c in pt(), r in 1.0..200.0f64) {
-        let region = Region::Circle { center: c, radius: r };
-        let bb = region.bounding_box();
-        prop_assert!(bb.contains(region.anchor()));
-        // The anchor is in the region itself for circles and rects.
-        prop_assert!(region.contains(region.anchor()));
     }
 
     #[test]

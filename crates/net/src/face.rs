@@ -172,108 +172,10 @@ pub fn greedy_next_hop(topo: &Topology, node: NodeId, target: Point) -> Option<N
         })
 }
 
-/// Outcome of a full GPSR unicast route computation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouteOutcome {
-    /// The destination node was reached; the path includes both endpoints.
-    Delivered(Vec<NodeId>),
-    /// The hop budget was exhausted.
-    HopLimit(Vec<NodeId>),
-    /// Perimeter traversal proved the destination unreachable.
-    Unreachable(Vec<NodeId>),
-}
-
-impl RouteOutcome {
-    /// The nodes visited, regardless of outcome.
-    pub fn path(&self) -> &[NodeId] {
-        match self {
-            RouteOutcome::Delivered(p)
-            | RouteOutcome::HopLimit(p)
-            | RouteOutcome::Unreachable(p) => p,
-        }
-    }
-
-    /// `true` when the destination was reached.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, RouteOutcome::Delivered(_))
-    }
-}
-
-/// Full GPSR unicast: greedy geographic forwarding with perimeter-mode
-/// recovery, from `src` to `dst`, giving up after `max_hops` transmissions.
-///
-/// This is both the reference implementation the face-routing tests lean
-/// on and the engine of the GRD baseline (one independent unicast per
-/// multicast destination).
-/// # Example
-///
-/// ```
-/// use gmp_net::face::gpsr_route;
-/// use gmp_net::{NodeId, PlanarKind, Topology, TopologyConfig};
-/// let topo = Topology::random(&TopologyConfig::new(500.0, 200, 120.0), 1);
-/// let out = gpsr_route(&topo, PlanarKind::Gabriel, NodeId(0), NodeId(199), 500);
-/// if topo.is_connected() {
-///     assert!(out.is_delivered());
-/// }
-/// ```
-pub fn gpsr_route(
-    topo: &Topology,
-    kind: PlanarKind,
-    src: NodeId,
-    dst: NodeId,
-    max_hops: usize,
-) -> RouteOutcome {
-    let target = topo.pos(dst);
-    let mut path = vec![src];
-    let mut current = src;
-    let mut perimeter: Option<PerimeterState> = None;
-    for _ in 0..max_hops {
-        if current == dst {
-            return RouteOutcome::Delivered(path);
-        }
-        // Try to resume greedy whenever we have made progress past the
-        // perimeter entry point.
-        if let Some(state) = perimeter {
-            if state.closer_than_entry(topo.pos(current)) {
-                perimeter = None;
-            }
-        }
-        let next = if perimeter.is_none() {
-            match greedy_next_hop(topo, current, target) {
-                Some(n) => n,
-                None => {
-                    let mut state = PerimeterState::enter(topo.pos(current), target);
-                    match perimeter_next_hop(topo, kind, current, &mut state) {
-                        Ok(n) => {
-                            perimeter = Some(state);
-                            n
-                        }
-                        Err(_) => return RouteOutcome::Unreachable(path),
-                    }
-                }
-            }
-        } else {
-            match perimeter
-                .as_mut()
-                .map(|state| perimeter_next_hop(topo, kind, current, state))
-            {
-                Some(Ok(n)) => n,
-                _ => return RouteOutcome::Unreachable(path),
-            }
-        };
-        path.push(next);
-        current = next;
-    }
-    if current == dst {
-        RouteOutcome::Delivered(path)
-    } else {
-        RouteOutcome::HopLimit(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::{gpsr_route, RouteOutcome};
     use crate::topology::{Hole, Topology, TopologyConfig};
     use gmp_geom::Aabb;
 

@@ -42,6 +42,8 @@ pub mod grid;
 pub mod mobility;
 pub mod node;
 pub mod planar;
+#[cfg(test)]
+mod route;
 pub mod topology;
 pub mod traversal;
 

@@ -35,7 +35,7 @@
 use gmp_geom::point::ccw_sweep;
 use gmp_geom::{Point, Segment, Vec2};
 
-use crate::face::{greedy_next_hop, FaceRoutingError, RouteOutcome};
+use crate::face::FaceRoutingError;
 use crate::node::NodeId;
 use crate::planar::{live_planar_neighbors_into, PlanarKind};
 use crate::topology::Topology;
@@ -318,77 +318,10 @@ pub(crate) fn first_turn(
     best.map(|(_, n)| n)
 }
 
-/// Greedy-face-greedy unicast on the live planar graph: greedy geographic
-/// forwarding, FACE-1 recovery at local minima, promotion back to greedy
-/// on strict progress past the stall point. Guaranteed to deliver on any
-/// connected topology given enough hops; the reference driver for the
-/// traversal engine's tests and proofs-by-proptest.
-///
-/// # Example
-///
-/// ```
-/// use gmp_net::traversal::{gfg_route, FaceDir};
-/// use gmp_net::{NodeId, PlanarKind, Topology, TopologyConfig};
-/// let topo = Topology::random(&TopologyConfig::new(500.0, 200, 120.0), 1);
-/// let out = gfg_route(&topo, PlanarKind::Gabriel, FaceDir::Ccw, NodeId(0), NodeId(199), 5000);
-/// if topo.is_connected() {
-///     assert!(out.is_delivered());
-/// }
-/// ```
-pub fn gfg_route(
-    topo: &Topology,
-    kind: PlanarKind,
-    dir: FaceDir,
-    src: NodeId,
-    dst: NodeId,
-    max_hops: usize,
-) -> RouteOutcome {
-    let target = topo.pos(dst);
-    let mut scratch = FaceScratch::new();
-    let mut path = vec![src];
-    let mut current = src;
-    let mut walk: Option<FaceWalk> = None;
-    for _ in 0..max_hops {
-        if current == dst {
-            return RouteOutcome::Delivered(path);
-        }
-        let here = topo.pos(current);
-        if let Some(w) = &walk {
-            if w.promotes(here, target) {
-                walk = None;
-            }
-        }
-        let next = match &mut walk {
-            None => match greedy_next_hop(topo, current, target) {
-                Some(n) => n,
-                None => {
-                    match FaceWalk::begin(topo, kind, None, dir, current, target, &mut scratch) {
-                        Some((n, w)) => {
-                            walk = Some(w);
-                            n
-                        }
-                        None => return RouteOutcome::Unreachable(path),
-                    }
-                }
-            },
-            Some(w) => match w.next(topo, kind, None, dir, current, target, &mut scratch) {
-                Ok(n) => n,
-                Err(_) => return RouteOutcome::Unreachable(path),
-            },
-        };
-        path.push(next);
-        current = next;
-    }
-    if current == dst {
-        RouteOutcome::Delivered(path)
-    } else {
-        RouteOutcome::HopLimit(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::{gfg_route, RouteOutcome};
     use crate::topology::{Hole, Topology, TopologyConfig};
     use gmp_geom::Aabb;
 

@@ -46,10 +46,10 @@
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use gmp_groups::GroupId;
 use gmp_net::{NodeId, Topology};
 use gmp_sim::{MulticastTask, Protocol, Session, SimConfig, SimScratch, TaskReport, TaskRunner};
 
+use crate::membership::GroupId;
 use crate::workload::{MembershipClock, ServiceWorkload, SessionSpec};
 
 /// Engine knobs.
@@ -68,7 +68,7 @@ impl Default for ServiceConfig {
 
 /// How the engine obtains a routing protocol for each session.
 ///
-/// Stateless-per-task protocols (GMP and all baselines except SMT/DSM)
+/// Stateless-per-task protocols (GMP and all baselines except SMT)
 /// can share one instance across every session — the caller keeps
 /// ownership, so e.g. a `GmpRouter`'s cache statistics remain readable
 /// after the run. Task-stateful protocols get a fresh instance per

@@ -7,9 +7,10 @@
 //! crate exploits that: a [`SessionEngine`] drives N in-flight sessions
 //! interleaved over one shared [`gmp_net::Topology`], sharing the
 //! decision cache and pooled scratch state across sessions, with group
-//! membership arriving as a live seq-ordered [`gmp_groups`] update
-//! stream (wired to `gmp-faults` crash events by
-//! [`ServiceWorkload::random`]).
+//! membership arriving as a live seq-ordered [`MembershipUpdate`] stream
+//! (wired to `gmp-faults` crash events by [`ServiceWorkload::random`]).
+//! The paper leaves group management to other schemes; here one
+//! [`MembershipSet`] per group replays that stream.
 //!
 //! Determinism is load-bearing: each session's report is bit-identical
 //! to running that session alone — see the `service_parity` suite in
@@ -20,11 +21,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod engine;
+pub mod membership;
 pub mod workload;
 
 pub use engine::{
     EngineProtocol, ParallelProtocol, ServiceConfig, ServiceRun, SessionEngine, SessionOutcome,
 };
+pub use membership::{GroupId, MembershipAction, MembershipSet, MembershipUpdate};
 pub use workload::{
     GroupSpec, MembershipClock, ServiceWorkload, SessionSpec, TimedUpdate, WorkloadParams,
 };

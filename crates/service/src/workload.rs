@@ -15,12 +15,13 @@
 use std::collections::BTreeMap;
 
 use gmp_faults::{FaultEvent, FaultPlan};
-use gmp_groups::{GroupId, MembershipAction, MembershipSet, MembershipUpdate};
 use gmp_net::NodeId;
 use gmp_sim::MulticastTask;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+use crate::membership::{GroupId, MembershipAction, MembershipSet, MembershipUpdate};
 
 /// One multicast group: its id and the source node every session for the
 /// group multicasts from (the paper's prime node).

@@ -24,7 +24,7 @@ pub struct SimConfig {
     /// (paper Section 5.4: 100).
     pub max_path_hops: u32,
     /// Planar subgraph used for perimeter routing.
-    pub planar: PlanarKindConfig,
+    pub planar: PlanarKind,
     /// When `true`, airtime (and hence energy) scales with the encoded
     /// packet size instead of the fixed `message_bytes` — the
     /// header-overhead ablation. The paper uses fixed-size messages.
@@ -72,25 +72,6 @@ pub struct PowerControl {
     pub overhead_w: f64,
 }
 
-/// Configuration mirror of [`PlanarKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanarKindConfig {
-    /// Gabriel graph.
-    #[default]
-    Gabriel,
-    /// Relative neighborhood graph.
-    RelativeNeighborhood,
-}
-
-impl From<PlanarKindConfig> for PlanarKind {
-    fn from(k: PlanarKindConfig) -> Self {
-        match k {
-            PlanarKindConfig::Gabriel => PlanarKind::Gabriel,
-            PlanarKindConfig::RelativeNeighborhood => PlanarKind::RelativeNeighborhood,
-        }
-    }
-}
-
 impl SimConfig {
     /// The paper's Table 1 configuration.
     pub fn paper() -> Self {
@@ -103,7 +84,7 @@ impl SimConfig {
             message_bytes: 128,
             radio_range: 150.0,
             max_path_hops: 100,
-            planar: PlanarKindConfig::Gabriel,
+            planar: PlanarKind::Gabriel,
             size_dependent_airtime: false,
             faults: FaultPlan::none(),
             max_retransmissions: 0,
@@ -191,9 +172,9 @@ impl SimConfig {
         self
     }
 
-    /// The planar subgraph as the `gmp-net` enum.
+    /// The planar subgraph perimeter routing walks.
     pub fn planar_kind(&self) -> PlanarKind {
-        self.planar.into()
+        self.planar
     }
 
     /// The topology generator settings implied by this configuration.
@@ -228,6 +209,8 @@ mod tests {
         assert_eq!(c.message_bytes, 128);
         assert_eq!(c.radio_range, 150.0);
         assert_eq!(c.max_path_hops, 100);
+        assert_eq!(c.planar_kind(), PlanarKind::Gabriel);
+        assert_eq!(SimConfig::default(), c);
     }
 
     #[test]
@@ -283,18 +266,5 @@ mod tests {
     fn debug_output_shows_the_node_count() {
         let c = SimConfig::paper();
         assert!(format!("{c:?}").contains("1000"));
-    }
-
-    #[test]
-    fn planar_kind_conversion() {
-        assert_eq!(
-            PlanarKind::from(PlanarKindConfig::Gabriel),
-            PlanarKind::Gabriel
-        );
-        assert_eq!(
-            PlanarKind::from(PlanarKindConfig::RelativeNeighborhood),
-            PlanarKind::RelativeNeighborhood
-        );
-        assert_eq!(SimConfig::default(), SimConfig::paper());
     }
 }

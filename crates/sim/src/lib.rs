@@ -33,7 +33,6 @@
 pub mod config;
 pub mod energy;
 pub mod event;
-pub mod geocast;
 pub mod metrics;
 pub mod packet;
 pub mod protocol;
@@ -43,7 +42,6 @@ pub mod task;
 
 pub use config::SimConfig;
 pub use energy::EnergyModel;
-pub use geocast::{GeocastReport, GeocastRunner, GeocastTask};
 pub use gmp_faults::{FailedDest, FailureCause, FaultEvent, FaultPlan, FaultRegion};
 pub use metrics::TaskReport;
 pub use packet::{DestList, MulticastPacket, RoutingState};

@@ -28,7 +28,7 @@ pub enum RoutingState {
     /// associated face-routing state).
     Perimeter(PerimeterState),
     /// A unicast leg toward a subtree root: intermediate nodes forward
-    /// greedily to `target` without re-partitioning (LGS/LGK legs, GRD).
+    /// greedily to `target` without re-partitioning (LGS legs, GRD).
     UnicastLeg {
         /// The subtree root (or single destination) this leg is aiming at.
         target: NodeId,

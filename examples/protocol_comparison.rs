@@ -1,11 +1,11 @@
-//! Head-to-head comparison of every protocol on identical tasks — a
+//! Head-to-head comparison of the paper's protocols on identical tasks — a
 //! one-network miniature of the paper's Figures 11/12/14.
 //!
 //! ```sh
 //! cargo run --release --example protocol_comparison
 //! ```
 
-use gmp::baselines::{DsmRouter, GrdRouter, LgkRouter, LgsRouter, PbmRouter, SmtRouter};
+use gmp::baselines::{GrdRouter, LgsRouter, PbmRouter, SmtRouter};
 use gmp::gmp::GmpRouter;
 use gmp::net::Topology;
 use gmp::sim::{MulticastTask, Protocol, SimConfig, TaskRunner};
@@ -24,8 +24,6 @@ fn main() {
         Box::new(GmpRouter::without_radio_range_awareness()),
         Box::new(PbmRouter::with_lambda(0.3)),
         Box::new(LgsRouter::new()),
-        Box::new(LgkRouter::new(2)),
-        Box::new(DsmRouter::new()),
         Box::new(SmtRouter::new()),
         Box::new(GrdRouter::new()),
     ];

@@ -71,7 +71,7 @@ fn usage() -> String {
         "commands:\n",
         "  generate --nodes N --area M --seed S --tasks T --k K OUT.txt\n",
         "  info SCENARIO.txt\n",
-        "  run SCENARIO.txt [--protocol gmp|gmpnr|pbm|lgs|lgk|grd|dsm|smt|mcfr|gvg]\n",
+        "  run SCENARIO.txt [--protocol gmp|gmpnr|pbm|lgs|grd|smt|mcfr|gvg]\n",
         "  render SCENARIO.txt OUT.svg [--task N] [--protocol NAME]\n"
     )
     .to_string()
@@ -290,9 +290,7 @@ mod tests {
         assert!(info.contains("nodes      : 200"));
         assert!(info.contains("tasks      : 3"));
 
-        for proto in [
-            "gmp", "gmpnr", "lgs", "grd", "dsm", "smt", "pbm", "lgk", "mcfr", "gvg",
-        ] {
+        for proto in ["gmp", "gmpnr", "lgs", "grd", "smt", "pbm", "mcfr", "gvg"] {
             let run = run_cli(&s(&["run", &scenario_path, "--protocol", proto])).unwrap();
             assert!(run.contains("3 tasks"), "{proto}: {run}");
         }

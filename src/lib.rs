@@ -8,8 +8,8 @@
 //! * [`steiner`] — the rrSTR heuristic, reduction ratio, MST, and KMB;
 //! * [`sim`] — the discrete-event WSN simulator and metrics;
 //! * [`gmp`] — the GMP protocol itself (the paper's contribution);
-//! * [`baselines`] — PBM, LGS, LGK, GRD, and centralized SMT comparators;
-//! * [`groups`] — source-maintained multicast group membership (extension);
+//! * [`baselines`] — PBM, LGS, GRD, centralized SMT, and the guaranteed-delivery
+//!   pair MCFR and GVG;
 //! * [`viz`] — SVG rendering of topologies, trees, and routes.
 //!
 //! # Quickstart
@@ -32,7 +32,6 @@
 pub use gmp_baselines as baselines;
 pub use gmp_core as gmp;
 pub use gmp_geom as geom;
-pub use gmp_groups as groups;
 pub use gmp_net as net;
 pub use gmp_sim as sim;
 pub use gmp_steiner as steiner;

@@ -1,7 +1,7 @@
 //! Cross-crate integration: every protocol, one simulator, shared
 //! topologies and tasks.
 
-use gmp::baselines::{GrdRouter, LgkRouter, LgsRouter, PbmRouter, SmtRouter};
+use gmp::baselines::{GrdRouter, LgsRouter, PbmRouter, SmtRouter};
 use gmp::gmp::GmpRouter;
 use gmp::net::{NodeId, Topology};
 use gmp::sim::{MulticastTask, Protocol, SimConfig, TaskRunner};
@@ -14,8 +14,6 @@ fn all_protocols() -> Vec<Box<dyn Protocol>> {
         Box::new(PbmRouter::with_lambda(0.3)),
         Box::new(PbmRouter::with_lambda(0.6)),
         Box::new(LgsRouter::new()),
-        Box::new(LgkRouter::new(2)),
-        Box::new(LgkRouter::new(4)),
         Box::new(SmtRouter::new()),
         Box::new(GrdRouter::new()),
     ]

@@ -1,72 +1,13 @@
-//! Integration tests for the extension subsystems: geocast, group
-//! management, mobility, and visualization — exercised together through
-//! the facade crate the way a downstream user would.
+//! Integration tests for the extension subsystems: mobility and
+//! visualization — exercised together through the facade crate the way a
+//! downstream user would.
 
-use gmp::geom::{Aabb, Point, Region};
-use gmp::gmp::{GmpGeocast, GmpRouter};
-use gmp::groups::{GroupId, GroupManager, MembershipTrace};
+use gmp::geom::Aabb;
+use gmp::gmp::GmpRouter;
 use gmp::net::mobility::{broken_link_fraction, RandomWaypoint};
-use gmp::net::{NodeId, Topology};
-use gmp::sim::geocast::{GeocastRunner, GeocastTask};
+use gmp::net::Topology;
 use gmp::sim::{SimConfig, TaskRunner};
 use gmp::viz::SvgScene;
-
-#[test]
-fn dynamic_group_session_end_to_end() {
-    // Membership churn → snapshots → GMP multicast, all costs accounted.
-    let config = SimConfig::paper().with_node_count(500);
-    let topo = Topology::random(&config.topology_config(), 60);
-    assert!(topo.is_connected());
-    let prime = NodeId(3);
-    let group = GroupId(7);
-    let trace = MembershipTrace::random(&topo, group, prime, 10, 30, 17);
-    let mut mgr = GroupManager::new(&topo, &config, prime);
-    let runner = TaskRunner::new(&topo, &config);
-    let mut total_data_tx = 0usize;
-    for chunk in trace.updates.chunks(8) {
-        for &u in chunk {
-            assert!(mgr.apply(u));
-        }
-        if let Some(task) = mgr.task_for(group) {
-            let report = runner.run(&mut GmpRouter::new(), &task);
-            assert!(report.delivered_all(), "snapshot multicast must deliver");
-            total_data_tx += report.transmissions;
-        }
-    }
-    assert_eq!(mgr.members(group), trace.final_members());
-    assert!(total_data_tx > 0);
-    assert!(mgr.control_cost().transmissions > 0);
-    assert_eq!(mgr.control_cost().undeliverable, 0);
-}
-
-#[test]
-fn geocast_to_a_hull_of_observed_sensors() {
-    // Build a polygon region from a convex hull of points of interest and
-    // geocast into it — the Voronoi/hull style of [28].
-    let config = SimConfig::paper().with_node_count(500);
-    let topo = Topology::random(&config.topology_config(), 61);
-    let hull = gmp::geom::convex_hull(&[
-        Point::new(700.0, 700.0),
-        Point::new(900.0, 720.0),
-        Point::new(880.0, 930.0),
-        Point::new(720.0, 900.0),
-        Point::new(800.0, 800.0), // interior, dropped by the hull
-    ]);
-    assert_eq!(hull.len(), 4);
-    let region = Region::convex_polygon(hull);
-    let task = GeocastTask {
-        source: NodeId(0),
-        region,
-    };
-    let report = GeocastRunner::new(&topo, &config).run(&mut GmpGeocast::new(), &task);
-    assert!(!report.members.is_empty());
-    assert!(
-        report.coverage() >= 0.9,
-        "coverage {:.2}",
-        report.coverage()
-    );
-    assert!(report.transmissions >= report.reached.len());
-}
 
 #[test]
 fn mobility_snapshots_still_route() {
