@@ -646,6 +646,82 @@ mod tests {
         assert_eq!(p3.encoded_len(&pos) - p1.encoded_len(&pos), 40);
     }
 
+    /// The size the overhead ablation charges for each routing-state
+    /// shape: an 18-byte header, a state tag and the state's fields, then a
+    /// 2-byte count and 20 bytes (id and location) per destination.
+    #[test]
+    fn encoded_len_pins_every_state_shape() {
+        let size = |p: &MulticastPacket| p.encoded_len(&positions());
+        let perimeter = |first_edge, prev| {
+            RoutingState::Perimeter(PerimeterState {
+                dest: Point::new(1.0, 2.0),
+                entry: Point::new(3.0, 4.0),
+                face_entry: Point::new(5.0, 6.0),
+                first_edge,
+                prev,
+            })
+        };
+        let walk = |phase, best| FaceWalk {
+            start_dist: 42.5,
+            anchor: Point::new(7.0, 8.0),
+            phase,
+            first: (NodeId(2), NodeId(3)),
+            prev: NodeId(5),
+            best,
+        };
+        let mut tree = HashMap::new();
+        tree.insert(NodeId(0), vec![NodeId(1), NodeId(2)]);
+        tree.insert(NodeId(1), vec![NodeId(3)]);
+        tree.insert(NodeId(2), vec![]);
+        tree.insert(NodeId(3), vec![]);
+        let best = Crossing {
+            edge: (NodeId(3), NodeId(6)),
+            at: Point::new(9.0, 10.0),
+        };
+        let cases = [
+            (RoutingState::Greedy, 2, 61),
+            (
+                perimeter(Some((NodeId(1), NodeId(2))), Some(NodeId(1))),
+                1,
+                103,
+            ),
+            (perimeter(None, None), 1, 91),
+            (RoutingState::UnicastLeg { target: NodeId(4) }, 2, 65),
+            (RoutingState::SourceTree(Arc::new(tree)), 1, 75),
+            (
+                RoutingState::Face {
+                    dir: FaceDir::Cw,
+                    walk: None,
+                },
+                1,
+                43,
+            ),
+            (
+                RoutingState::Face {
+                    dir: FaceDir::Ccw,
+                    walk: Some(walk(FacePhase::Scan, None)),
+                },
+                1,
+                81,
+            ),
+            (
+                RoutingState::Face {
+                    dir: FaceDir::Ccw,
+                    walk: Some(walk(FacePhase::Seek, Some(best))),
+                },
+                1,
+                105,
+            ),
+        ];
+        for (state, dests, bytes) in cases {
+            let mut p =
+                MulticastPacket::new(9, NodeId(0), (1..=dests).map(NodeId).collect::<Vec<_>>());
+            p.hops = 12;
+            p.state = state;
+            assert_eq!(size(&p), bytes, "{:?}", p.state);
+        }
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert!(MulticastPacket::decode(Bytes::from_static(b"xx")).is_err());
