@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 
 use gmp_baselines::ProtocolKind;
 use gmp_net::{NodeId, Topology};
-use gmp_sim::{FaultEvent, FaultPlan, MulticastTask, SimConfig, TaskReport};
+use gmp_sim::{FaultPlan, MulticastTask, SimConfig, TaskReport};
 
 use crate::experiments::{panel, Cell, Router, Tally};
 
@@ -89,11 +89,8 @@ pub fn check_certificate(cells: &[Cell], tallies: &[Tally]) -> Result<(), String
 /// The task source is always exempt, matching the runtime.
 fn initial_alive(plan: &FaultPlan, n: usize, source: NodeId) -> Vec<bool> {
     let mut alive = vec![true; n];
-    for e in &plan.events {
-        match e {
-            FaultEvent::Crash { node, at_s } if *at_s <= 0.0 => alive[node.index()] = false,
-            _ => {}
-        }
+    for crash in plan.crashes.iter().filter(|c| c.at_s <= 0.0) {
+        alive[crash.node.index()] = false;
     }
     alive[source.index()] = true;
     alive

@@ -7,7 +7,7 @@
 //! across the whole matrix, so GMP replays later tasks against a cache
 //! populated by *earlier, different* configurations and fault plans.
 //! The matrix deliberately interleaves a fault-free run with crash,
-//! blackout, duty-cycle and Bernoulli-failure plans over the same tasks:
+//! regional-crash and Bernoulli-failure plans over the same tasks:
 //! the warm cache first fills with all-alive decisions, then the faulted
 //! replays bring the same decisions with dead neighbors, which may be
 //! served only where the view keeps an entry's next hops alive and its
@@ -22,10 +22,8 @@
 use gmp_baselines::{GrdRouter, LgsRouter, PbmRouter, SmtRouter};
 use gmp_core::GmpRouter;
 use gmp_geom::Point;
-use gmp_net::Topology;
-use gmp_sim::{
-    FaultPlan, FaultRegion, MulticastTask, Protocol, SimConfig, SimScratch, TaskReport, TaskRunner,
-};
+use gmp_net::{NodeId, Topology};
+use gmp_sim::{FaultPlan, MulticastTask, Protocol, SimConfig, SimScratch, TaskReport, TaskRunner};
 use proptest::prelude::*;
 
 /// Every protocol in the workspace, freshly constructed.
@@ -46,11 +44,18 @@ fn fresh(name: &str) -> Box<dyn Protocol> {
         .expect("known protocol")
 }
 
-/// Fault-free plus the PR-5 fault families, all timed to fire inside a
+/// Fault-free plus the fault families, the crashes timed to fire inside a
 /// task's first few airtimes (~1 ms each) so they actually flip liveness
 /// mid-run.
-fn configs(node_count: usize) -> Vec<(&'static str, SimConfig)> {
+fn configs(topo: &Topology) -> Vec<(&'static str, SimConfig)> {
+    let node_count = topo.len();
     let base = SimConfig::paper().with_node_count(node_count);
+    // A regional blackout: every node within 300 m of the center crashes.
+    let center = Point::new(500.0, 500.0);
+    let region = (0..node_count as u32)
+        .map(NodeId)
+        .filter(|&n| center.dist_sq(topo.pos(n)) <= 300.0 * 300.0)
+        .fold(FaultPlan::none(), |plan, n| plan.with_crash(n, 0.001));
     vec![
         ("plain", base.clone()),
         (
@@ -58,22 +63,7 @@ fn configs(node_count: usize) -> Vec<(&'static str, SimConfig)> {
             base.clone()
                 .with_faults(FaultPlan::random_crashes(node_count, 0.1, 0.002, 77)),
         ),
-        (
-            "blackout",
-            base.clone().with_faults(FaultPlan::none().with_blackout(
-                FaultRegion::Disk {
-                    center: Point::new(500.0, 500.0),
-                    radius: 300.0,
-                },
-                0.001,
-                0.004,
-            )),
-        ),
-        (
-            "duty-cycle",
-            base.clone()
-                .with_faults(FaultPlan::none().with_duty_cycle(0.004, 0.6)),
-        ),
+        ("region", base.clone().with_faults(region)),
         ("bernoulli", base.clone().with_node_failure_prob(0.1)),
         // Back to fault-free: the warm cache must still serve the
         // entries the faulted rounds were forbidden from using.
@@ -99,13 +89,12 @@ fn assert_bit_identical(cold: &TaskReport, warm: &TaskReport, what: &str) {
 }
 
 fn run_matrix(topo: &Topology, tasks: &[MulticastTask], run_seed: u64) {
-    let node_count = topo.len();
     let mut cold_scratch = SimScratch::new();
     for proto in protocols() {
         let name = proto.name();
         let mut warm = proto;
         let mut warm_scratch = SimScratch::new();
-        for (config_name, config) in configs(node_count) {
+        for (config_name, config) in configs(topo) {
             let runner = TaskRunner::new(topo, &config);
             for (task_i, task) in tasks.iter().enumerate() {
                 let mut cold = fresh(&name);
@@ -168,7 +157,7 @@ fn shared_concurrent_cache_never_changes_reports() {
     // cache fully populated by the first, so warm hits (not just misses)
     // are compared against the cold router.
     for pass in 0..2 {
-        for (config_name, config) in configs(node_count) {
+        for (config_name, config) in configs(&topo) {
             let runner = TaskRunner::new(&topo, &config);
             for (task_i, task) in tasks.iter().enumerate() {
                 let mut cold = GmpRouter::new();

@@ -5,7 +5,8 @@
 //! machine-checked here rather than argued in prose. The certificate
 //! proptest throws randomized topologies (uniform, circle-void, and
 //! rect-void generators), destination sets, and fault plans (t = 0
-//! crashes and from-start blackouts) at both protocols and asserts,
+//! crashes, random or of every node in a region) at both protocols and
+//! asserts,
 //! against the BFS ground-truth oracle, that **every** failed destination
 //! is justified (dead or graph-disconnected) and that no run hides
 //! behind a truncated hop/event budget. The oracle itself is
@@ -25,7 +26,7 @@ use gmp_geom::Point;
 use gmp_net::topology::{Hole, Topology, TopologyConfig};
 use gmp_net::NodeId;
 use gmp_service::{EngineProtocol, ServiceConfig, ServiceWorkload, SessionEngine, WorkloadParams};
-use gmp_sim::{FaultPlan, FaultRegion, MulticastTask, Protocol, SimConfig, TaskRunner};
+use gmp_sim::{FaultPlan, MulticastTask, Protocol, SimConfig, TaskRunner};
 use proptest::prelude::*;
 
 const SIDE: f64 = 800.0;
@@ -56,19 +57,19 @@ fn make_topology(shape: usize, n: usize, seed: u64) -> Topology {
     Topology::random(&config, seed)
 }
 
-/// Fault generator: none, t = 0 crashes, or a from-start blackout.
-fn make_plan(fault: usize, n: usize, crash_frac: f64, seed: u64) -> FaultPlan {
+/// Fault generator: none, random t = 0 crashes, or a from-start
+/// blackout: the t = 0 crash of every node in a rectangle.
+fn make_plan(fault: usize, topo: &Topology, crash_frac: f64, seed: u64) -> FaultPlan {
     match fault {
         0 => FaultPlan::none(),
-        1 => FaultPlan::random_crashes(n, crash_frac, 0.0, seed),
-        _ => FaultPlan::none().with_blackout(
-            FaultRegion::Rect {
-                min: Point::new(0.0, 300.0),
-                max: Point::new(350.0, 800.0),
-            },
-            0.0,
-            1e9,
-        ),
+        1 => FaultPlan::random_crashes(topo.len(), crash_frac, 0.0, seed),
+        _ => (0..topo.len() as u32)
+            .map(NodeId)
+            .filter(|&node| {
+                let p = topo.pos(node);
+                (0.0..=350.0).contains(&p.x) && (300.0..=800.0).contains(&p.y)
+            })
+            .fold(FaultPlan::none(), |plan, node| plan.with_crash(node, 0.0)),
     }
 }
 
@@ -103,7 +104,7 @@ proptest! {
         crash_seed in 0u64..10_000,
     ) {
         let topo = make_topology(shape, n, topo_seed);
-        let plan = make_plan(fault, n, crash_frac, crash_seed);
+        let plan = make_plan(fault, &topo, crash_frac, crash_seed);
         let config = certificate_config(n, plan);
         let task = MulticastTask::random(&topo, k.min(topo.len() - 1), task_seed);
         let runner = TaskRunner::new(&topo, &config);

@@ -49,7 +49,6 @@ mod seed_ref {
         ) -> TaskReport {
             let mut report = TaskReport::new(protocol.name());
             let energy = EnergyModel::from_config(self.config);
-            let positions = self.topo.positions();
             let mut rng = StdRng::seed_from_u64(seed);
 
             let mut alive = vec![true; self.topo.len()];
@@ -85,7 +84,6 @@ mod seed_ref {
                 &mut queue,
                 &mut report,
                 &energy,
-                &positions,
                 &mut on_air,
                 &mut rng,
             );
@@ -167,7 +165,6 @@ mod seed_ref {
                     &mut queue,
                     &mut report,
                     &energy,
-                    &positions,
                     &mut on_air,
                     &mut rng,
                 );
@@ -210,7 +207,6 @@ mod seed_ref {
             queue: &mut EventQueue,
             report: &mut TaskReport,
             energy: &EnergyModel,
-            positions: &[gmp_geom::Point],
             on_air: &mut Vec<(f64, f64, NodeId)>,
             rng: &mut StdRng,
         ) {
@@ -222,7 +218,7 @@ mod seed_ref {
                     continue;
                 }
                 let bytes = if self.config.size_dependent_airtime {
-                    fwd.packet.encoded_len(positions)
+                    fwd.packet.encoded_len()
                 } else {
                     self.config.message_bytes
                 };
@@ -393,33 +389,21 @@ fn task_reports_are_bit_identical_across_protocols_and_configs() {
 
 mod zero_fault_parity {
     //! Satellite of the fault subsystem: an *inert* fault plan — one that
-    //! carries timed events which can never fire — must leave every
+    //! carries timed crashes which can never fire — must leave every
     //! protocol's report bit-identical to a plain run. This pins the two
-    //! invariants the injector hooks rely on: the timed-event machinery
-    //! consumes zero task-RNG draws, and an all-`true` liveness view
-    //! exposed to the protocols selects exactly the hops `None` does.
+    //! invariants the injector hooks rely on: the crash timeline consumes
+    //! zero task-RNG draws, and an all-`true` liveness view exposed to the
+    //! protocols selects exactly the hops `None` does.
 
     use super::*;
-    use gmp_geom::Point;
     use gmp_net::NodeId;
-    use gmp_sim::{FaultPlan, FaultRegion};
+    use gmp_sim::FaultPlan;
     use proptest::prelude::*;
 
-    /// Events present, effects impossible: a crash aimed past the
-    /// topology, a blackout over an empty corner of the plane, and a
-    /// fully-on duty cycle.
+    /// A crash present, its effect impossible: it is aimed past the
+    /// topology.
     fn inert_plan(node_count: usize) -> FaultPlan {
-        FaultPlan::none()
-            .with_crash(NodeId(node_count as u32 + 7), 0.0)
-            .with_blackout(
-                FaultRegion::Disk {
-                    center: Point::new(-1e6, -1e6),
-                    radius: 1.0,
-                },
-                1e9,
-                f64::INFINITY,
-            )
-            .with_duty_cycle(1.0, 1.0)
+        FaultPlan::none().with_crash(NodeId(node_count as u32 + 7), 0.0)
     }
 
     proptest! {

@@ -15,13 +15,14 @@ pub enum FailureCause {
     /// Justified: the destination was unreachable from the source in the
     /// faulted connectivity graph — no protocol could have delivered.
     Disconnected,
-    /// Justified: the destination node itself was dead (Bernoulli sample,
-    /// crash, or blackout).
+    /// Justified: the destination node itself was dead (Bernoulli sample
+    /// or crash).
     DestDead,
-    /// The last copy carrying this destination arrived at a dead or
-    /// sleeping relay.
+    /// The last copy carrying this destination arrived at a dead relay.
     DeadNode,
-    /// The last copy was dropped on a link severed by a churn episode.
+    /// The last copy was dropped on a severed link. Nothing records this
+    /// cause any more; it keeps its place so that cause histograms and
+    /// [`FailureCause::index`] stay as they were.
     LinkDown,
     /// The last copy was lost to the Bernoulli link-loss draw.
     LinkLoss,

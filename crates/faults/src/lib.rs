@@ -3,15 +3,14 @@
 //!
 //! The paper's robustness story — voids, sparse regions, perimeter-mode
 //! fallback — cannot be exercised with i.i.d. coin flips alone. This crate
-//! models faults as a *plan*: a seeded, reproducible schedule of typed
-//! events layered on top of the legacy Bernoulli knobs.
+//! models faults as a *plan*: a reproducible list of node crashes layered
+//! on top of the legacy Bernoulli knobs.
 //!
 //! - [`FaultPlan`] — the schedule: Bernoulli node/link failure
-//!   probabilities plus timed [`FaultEvent`]s (crashes, regional
-//!   blackouts, duty-cycle sleep, mobility-driven link churn).
+//!   probabilities plus timed [`Crash`]es.
 //! - [`FaultScratch`] — the runtime: compiles a plan against a topology
-//!   (cached), advances node liveness as simulated time passes, and
-//!   answers per-delivery queries from the event loop.
+//!   (cached) and applies each crash to node liveness as simulated time
+//!   passes.
 //! - The **oracle** ([`FaultScratch::classify_failures`]) — after a task,
 //!   classifies every failed destination as *justified* (dead, or the
 //!   faulted connectivity graph itself was disconnected) or a *protocol
@@ -20,8 +19,8 @@
 //!   live failed destinations need.
 //!
 //! Everything is deterministic: a plan never consumes simulator RNG draws
-//! beyond the two legacy Bernoulli streams, and timed events are compiled
-//! from the plan's own seeds, so equal seeds give bit-identical runs.
+//! beyond the two legacy Bernoulli streams, so equal seeds give
+//! bit-identical runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,5 +31,5 @@ mod plan;
 mod runtime;
 
 pub use cause::{FailedDest, FailureCause};
-pub use plan::{FaultEvent, FaultPlan, FaultRegion};
+pub use plan::{Crash, FaultPlan};
 pub use runtime::FaultScratch;

@@ -7,11 +7,10 @@
 //! pessimistically-faulted reachability graph from the raw fault plan —
 //! without touching the oracle's compiled state — and assert that a
 //! failure is *justified* exactly when the destination is genuinely dead
-//! or unreachable, for any topology, crash/blackout plan, Bernoulli
-//! sample, recorded proximate cause, and pending set.
+//! or unreachable, for any topology, crash plan, Bernoulli sample,
+//! recorded proximate cause, and pending set.
 
-use gmp_faults::{FailedDest, FailureCause, FaultEvent, FaultPlan, FaultRegion, FaultScratch};
-use gmp_geom::Point;
+use gmp_faults::{FailedDest, FailureCause, FaultPlan, FaultScratch};
 use gmp_net::topology::TopologyConfig;
 use gmp_net::{NodeId, Topology};
 use proptest::prelude::*;
@@ -19,26 +18,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The reference "ever down" set: Bernoulli deaths plus every node named
-/// by a crash (any time — the oracle is pessimistic) or covered by a
-/// blackout region. Mirrors the documented excision rule, not the
-/// oracle's code.
+/// by a crash (any time — the oracle is pessimistic). Mirrors the
+/// documented excision rule, not the oracle's code.
 fn reference_down(topo: &Topology, plan: &FaultPlan, bern_dead: &[bool]) -> Vec<bool> {
     let mut down = bern_dead.to_vec();
-    for ev in &plan.events {
-        match *ev {
-            FaultEvent::Crash { node, .. } => {
-                if node.index() < topo.len() {
-                    down[node.index()] = true;
-                }
-            }
-            FaultEvent::Blackout { region, .. } => {
-                for (i, dead) in down.iter_mut().enumerate() {
-                    if region.contains(topo.pos(NodeId(i as u32))) {
-                        *dead = true;
-                    }
-                }
-            }
-            FaultEvent::DutyCycle { .. } | FaultEvent::LinkChurn { .. } => {}
+    for crash in &plan.crashes {
+        if crash.node.index() < topo.len() {
+            down[crash.node.index()] = true;
         }
     }
     down
@@ -103,7 +89,7 @@ fn classify(
     let mut out = Vec::new();
     for set in [&complement[..], pending] {
         let mut alive: Vec<bool> = bern_dead.iter().map(|&d| !d).collect();
-        if plan.has_events() {
+        if plan.has_crashes() {
             scratch.begin_task(plan, topo, source, &mut alive);
             scratch.advance_to(1e9, source, &mut alive);
         }
@@ -111,7 +97,7 @@ fn classify(
         scratch.classify_failures(
             topo,
             source,
-            plan.has_events(),
+            plan.has_crashes(),
             &alive,
             set,
             drop_cause,
@@ -143,8 +129,8 @@ const PROXIMATE: [FailureCause; 5] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Justified ⟺ genuinely dead or unreachable, for crash/blackout
-    /// plans (no link churn, so the reference graph is exact).
+    /// Justified ⟺ genuinely dead or unreachable, for crash plans with an
+    /// optional regional blackout: the crash of every node in a square.
     #[test]
     fn justified_iff_unreachable_under_crashes_and_blackouts(
         topo_seed in 0u64..1000,
@@ -168,14 +154,12 @@ proptest! {
         let mut plan = FaultPlan::random_crashes(n, crash_frac, crash_at, crash_seed);
         if with_blackout {
             let (x, y, r) = blackout;
-            plan = plan.with_blackout(
-                FaultRegion::Rect {
-                    min: Point::new(x - r, y - r),
-                    max: Point::new(x + r, y + r),
-                },
-                0.5,
-                2.0,
-            );
+            for i in 0..n as u32 {
+                let p = topo.pos(NodeId(i));
+                if (p.x - x).abs() <= r && (p.y - y).abs() <= r {
+                    plan = plan.with_crash(NodeId(i), 0.5);
+                }
+            }
         }
 
         // A deterministic pseudo-Bernoulli sample, source exempt.
@@ -221,49 +205,6 @@ proptest! {
                 down[i],
                 reach[i]
             );
-        }
-    }
-
-    /// With link churn the exact severed set lives inside the oracle, but
-    /// two directions stay independently checkable: severing links never
-    /// revives a node (DestDead is exact), and a destination unreachable
-    /// even on the node-excised graph must be justified — removing links
-    /// only shrinks reachability, so an unjustified verdict would be a
-    /// soundness bug.
-    #[test]
-    fn churn_only_ever_shrinks_reachability(
-        topo_seed in 0u64..500,
-        n in 20usize..60,
-        crash_frac in 0.0f64..0.3,
-        churn_seed in 0u64..1000,
-        truncated in proptest::bool::ANY,
-        pending_seed in 0u64..1000,
-    ) {
-        let topo = Topology::random(&TopologyConfig::new(500.0, n, 150.0), topo_seed);
-        let source = NodeId((topo_seed % n as u64) as u32);
-        let plan = FaultPlan::random_crashes(n, crash_frac, 0.0, topo_seed)
-            .with_link_churn(1.0, 30.0, (20.0, 40.0), (0.0, 0.5), churn_seed);
-
-        let bern_dead = vec![false; n];
-        let drop_cause = vec![FailureCause::NoRoute; n];
-        let down = reference_down(&topo, &plan, &bern_dead);
-        let reach = reference_reach(&topo, &down, source);
-        let pending = draw_pending(&down, &reach, pending_seed);
-
-        let out = classify(&topo, &plan, source, &bern_dead, &pending, &drop_cause, truncated);
-
-        let judged: Vec<NodeId> = out.iter().map(|f| f.dest).collect();
-        prop_assert_eq!(judged, pending_dests(&pending));
-        for f in &out {
-            let i = f.dest.index();
-            prop_assert_eq!(f.cause == FailureCause::DestDead, down[i], "dest {i}");
-            if !down[i] && !reach[i] {
-                prop_assert!(
-                    f.is_justified(),
-                    "dest {i} unreachable without churn but verdict {:?}",
-                    f.cause
-                );
-            }
         }
     }
 }

@@ -36,9 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn plan(n: usize) -> FaultPlan {
-    FaultPlan::random_crashes(n, 0.2, 0.0, 3)
-        .with_crash(NodeId(1), 0.5)
-        .with_link_churn(1.0, 30.0, (20.0, 40.0), (0.0, 0.5), 5)
+    FaultPlan::random_crashes(n, 0.2, 0.0, 3).with_crash(NodeId(1), 0.5)
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use gmp_faults::{FaultEvent, FaultPlan};
+use gmp_faults::FaultPlan;
 use gmp_net::NodeId;
 use gmp_sim::MulticastTask;
 use rand::rngs::StdRng;
@@ -244,12 +244,10 @@ impl ServiceWorkload {
             timeline.push((t, i, ChurnKind::Random(g)));
         }
         let mut idx = params.churn_updates;
-        for event in &plan.events {
-            if let FaultEvent::Crash { node, at_s } = event {
-                let detect = at_s.max(params.crash_detect_s);
-                timeline.push((detect, idx, ChurnKind::CrashLeave(*node)));
-                idx += 1;
-            }
+        for crash in &plan.crashes {
+            let detect = crash.at_s.max(params.crash_detect_s);
+            timeline.push((detect, idx, ChurnKind::CrashLeave(crash.node)));
+            idx += 1;
         }
         timeline.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 

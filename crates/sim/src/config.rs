@@ -25,13 +25,13 @@ pub struct SimConfig {
     pub max_path_hops: u32,
     /// Planar subgraph used for perimeter routing.
     pub planar: PlanarKind,
-    /// When `true`, airtime (and hence energy) scales with the encoded
-    /// packet size instead of the fixed `message_bytes` — the
-    /// header-overhead ablation. The paper uses fixed-size messages.
+    /// When `true`, airtime (and hence energy) scales with the packet's
+    /// size ([`MulticastPacket::encoded_len`](crate::MulticastPacket::encoded_len))
+    /// instead of the fixed `message_bytes` — the header-overhead
+    /// ablation. The paper uses fixed-size messages.
     pub size_dependent_airtime: bool,
     /// Fault-injection plan (extension): Bernoulli node/link failure
-    /// probabilities plus an optional schedule of timed fault events
-    /// (crashes, regional blackouts, duty-cycle sleep, link churn).
+    /// probabilities plus an optional list of timed node crashes.
     /// [`FaultPlan::none`] — the default — reproduces the paper's
     /// fault-free runs bit-for-bit.
     pub faults: FaultPlan,
@@ -259,7 +259,7 @@ mod tests {
         let c = c.with_link_loss_prob(0.25);
         assert_eq!(c.faults.node_failure_prob, 0.1);
         assert_eq!(c.faults.link_loss_prob, 0.25);
-        assert!(c.faults.has_events());
+        assert!(c.faults.has_crashes());
     }
 
     #[test]

@@ -17,14 +17,14 @@
 //! * [`Protocol`] — the per-node forwarding decision interface every
 //!   routing protocol in this workspace implements;
 //! * [`MulticastPacket`] — destination list + protocol routing state, with
-//!   a wire encoding (header-overhead accounting);
+//!   its size in bytes (header-overhead accounting);
 //! * [`TaskRunner`] — runs one multicast task through the event queue and
 //!   produces a [`TaskReport`];
 //! * [`MulticastTask`] — a (source, destination-set) workload item;
 //! * [`FaultPlan`] (re-exported from `gmp-faults`) — deterministic fault
-//!   injection: Bernoulli knobs plus timed crashes, regional blackouts,
-//!   duty-cycle sleep, and link churn, with the delivery-guarantee
-//!   oracle classifying every failed destination by [`FailureCause`].
+//!   injection: Bernoulli knobs plus timed crashes, with the
+//!   delivery-guarantee oracle classifying every failed destination by
+//!   [`FailureCause`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,7 @@ pub mod task;
 
 pub use config::SimConfig;
 pub use energy::EnergyModel;
-pub use gmp_faults::{FailedDest, FailureCause, FaultEvent, FaultPlan, FaultRegion};
+pub use gmp_faults::{Crash, FailedDest, FailureCause, FaultPlan};
 pub use metrics::TaskReport;
 pub use packet::{DestList, MulticastPacket, RoutingState};
 pub use protocol::{Forward, NodeContext, Protocol};

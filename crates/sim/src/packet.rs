@@ -1,4 +1,4 @@
-//! Multicast packets and their wire encoding.
+//! Multicast packets and their sizes.
 //!
 //! In geographic multicast the packet itself carries the routing state:
 //! the list of remaining destination *locations* (the location is the
@@ -6,15 +6,13 @@
 //! bookkeeping, LGS's current subtree-root target, or the SMT baseline's
 //! embedded source-routing tree.
 //!
-//! The wire encoding exists so the header-overhead ablation can charge
-//! airtime by real packet size instead of the paper's fixed 128 B.
+//! [`MulticastPacket::encoded_len`] sizes a packet so the header-overhead
+//! ablation can charge airtime by packet size instead of the paper's
+//! fixed 128 B.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gmp_geom::Point;
-use gmp_net::traversal::{Crossing, FacePhase};
 use gmp_net::{FaceDir, FaceWalk, NodeId, PerimeterState};
 
 /// Per-protocol routing state carried inside a packet.
@@ -215,381 +213,48 @@ impl MulticastPacket {
         matches!(self.state, RoutingState::Perimeter(_))
     }
 
-    /// Serializes the packet, including each destination's location
-    /// (16 bytes) since locations are addresses.
-    pub fn encode(&self, positions: &[Point]) -> Bytes {
-        let mut b = BytesMut::with_capacity(64 + 20 * self.dests.len());
-        b.put_u8(b'G');
-        b.put_u8(1); // version
-        b.put_u64(self.seq);
-        b.put_u32(self.origin.0);
-        b.put_u32(self.hops);
-        match &self.state {
-            RoutingState::Greedy => b.put_u8(0),
+    /// The packet's size in bytes, as the header-overhead ablation
+    /// charges it: an 18-byte header (magic, version, sequence number,
+    /// origin and hop count), a one-byte state tag and the state's fields,
+    /// then a 2-byte count and, per destination, its id and its 16-byte
+    /// location, since locations are addresses.
+    pub fn encoded_len(&self) -> usize {
+        const HEADER: usize = 18;
+        const ID: usize = 4;
+        const POINT: usize = 16;
+        // An optional field costs a presence byte plus its value.
+        let opt = |len: Option<usize>| 1 + len.unwrap_or(0);
+        let state = match &self.state {
+            RoutingState::Greedy => 0,
+            // Target, entry and face-entry points, first edge, predecessor.
             RoutingState::Perimeter(p) => {
-                b.put_u8(1);
-                put_point(&mut b, p.dest);
-                put_point(&mut b, p.entry);
-                put_point(&mut b, p.face_entry);
-                match p.first_edge {
-                    Some((a, c)) => {
-                        b.put_u8(1);
-                        b.put_u32(a.0);
-                        b.put_u32(c.0);
-                    }
-                    None => b.put_u8(0),
-                }
-                match p.prev {
-                    Some(n) => {
-                        b.put_u8(1);
-                        b.put_u32(n.0);
-                    }
-                    None => b.put_u8(0),
-                }
+                3 * POINT + opt(p.first_edge.map(|_| 2 * ID)) + opt(p.prev.map(|_| ID))
             }
-            RoutingState::UnicastLeg { target } => {
-                b.put_u8(2);
-                b.put_u32(target.0);
+            RoutingState::UnicastLeg { .. } => ID,
+            // Direction, then the walk: start distance, anchor, phase,
+            // first edge, predecessor and the best crossing (edge, point).
+            RoutingState::Face { walk, .. } => {
+                1 + opt(walk.map(|w| 8 + POINT + 1 + 3 * ID + opt(w.best.map(|_| 2 * ID + POINT))))
             }
-            RoutingState::Face { dir, walk } => {
-                b.put_u8(4);
-                b.put_u8(match dir {
-                    FaceDir::Ccw => 0,
-                    FaceDir::Cw => 1,
-                });
-                match walk {
-                    None => b.put_u8(0),
-                    Some(w) => {
-                        b.put_u8(1);
-                        b.put_f64(w.start_dist);
-                        put_point(&mut b, w.anchor);
-                        b.put_u8(match w.phase {
-                            FacePhase::Scan => 0,
-                            FacePhase::Seek => 1,
-                        });
-                        b.put_u32(w.first.0 .0);
-                        b.put_u32(w.first.1 .0);
-                        b.put_u32(w.prev.0);
-                        match w.best {
-                            None => b.put_u8(0),
-                            Some(c) => {
-                                b.put_u8(1);
-                                b.put_u32(c.edge.0 .0);
-                                b.put_u32(c.edge.1 .0);
-                                put_point(&mut b, c.at);
-                            }
-                        }
-                    }
-                }
-            }
+            // A node count, then per node its id, a child count and the
+            // children.
             RoutingState::SourceTree(tree) => {
-                b.put_u8(3);
-                let mut keys: Vec<_> = tree.keys().copied().collect();
-                keys.sort();
-                b.put_u16(keys.len() as u16);
-                for k in keys {
-                    b.put_u32(k.0);
-                    let children = &tree[&k];
-                    b.put_u8(children.len() as u8);
-                    for c in children {
-                        b.put_u32(c.0);
-                    }
-                }
-            }
-        }
-        b.put_u16(self.dests.len() as u16);
-        for d in &self.dests {
-            b.put_u32(d.0);
-            put_point(&mut b, positions[d.index()]);
-        }
-        b.freeze()
-    }
-
-    /// The encoded size in bytes — what the size-dependent airtime
-    /// ablation charges for.
-    pub fn encoded_len(&self, positions: &[Point]) -> usize {
-        self.encode(positions).len()
-    }
-
-    /// Deserializes a packet previously produced by [`encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive error string on malformed input.
-    ///
-    /// [`encode`]: MulticastPacket::encode
-    pub fn decode(mut buf: Bytes) -> Result<Self, String> {
-        let need = |buf: &Bytes, n: usize| -> Result<(), String> {
-            if buf.remaining() < n {
-                Err(format!("truncated packet: need {n} more bytes"))
-            } else {
-                Ok(())
+                2 + tree.values().map(|c| ID + 1 + ID * c.len()).sum::<usize>()
             }
         };
-        need(&buf, 18)?;
-        if buf.get_u8() != b'G' {
-            return Err("bad magic".into());
-        }
-        if buf.get_u8() != 1 {
-            return Err("unsupported version".into());
-        }
-        let seq = buf.get_u64();
-        let origin = NodeId(buf.get_u32());
-        let hops = buf.get_u32();
-        need(&buf, 1)?;
-        let state = match buf.get_u8() {
-            0 => RoutingState::Greedy,
-            1 => {
-                need(&buf, 48 + 2)?;
-                let dest = get_point(&mut buf);
-                let entry = get_point(&mut buf);
-                let face_entry = get_point(&mut buf);
-                let first_edge = if buf.get_u8() == 1 {
-                    need(&buf, 8)?;
-                    Some((NodeId(buf.get_u32()), NodeId(buf.get_u32())))
-                } else {
-                    None
-                };
-                need(&buf, 1)?;
-                let prev = if buf.get_u8() == 1 {
-                    need(&buf, 4)?;
-                    Some(NodeId(buf.get_u32()))
-                } else {
-                    None
-                };
-                RoutingState::Perimeter(PerimeterState {
-                    dest,
-                    entry,
-                    face_entry,
-                    first_edge,
-                    prev,
-                })
-            }
-            2 => {
-                need(&buf, 4)?;
-                RoutingState::UnicastLeg {
-                    target: NodeId(buf.get_u32()),
-                }
-            }
-            3 => {
-                need(&buf, 2)?;
-                let n = buf.get_u16() as usize;
-                let mut tree = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    need(&buf, 5)?;
-                    let k = NodeId(buf.get_u32());
-                    let c = buf.get_u8() as usize;
-                    need(&buf, 4 * c)?;
-                    let children = (0..c).map(|_| NodeId(buf.get_u32())).collect();
-                    tree.insert(k, children);
-                }
-                RoutingState::SourceTree(Arc::new(tree))
-            }
-            4 => {
-                need(&buf, 2)?;
-                let dir = match buf.get_u8() {
-                    0 => FaceDir::Ccw,
-                    1 => FaceDir::Cw,
-                    d => return Err(format!("unknown face direction {d}")),
-                };
-                let walk = if buf.get_u8() == 1 {
-                    need(&buf, 8 + 16 + 1 + 12 + 1)?;
-                    let start_dist = buf.get_f64();
-                    let anchor = get_point(&mut buf);
-                    let phase = match buf.get_u8() {
-                        0 => FacePhase::Scan,
-                        1 => FacePhase::Seek,
-                        p => return Err(format!("unknown face phase {p}")),
-                    };
-                    let first = (NodeId(buf.get_u32()), NodeId(buf.get_u32()));
-                    let prev = NodeId(buf.get_u32());
-                    let best = if buf.get_u8() == 1 {
-                        need(&buf, 24)?;
-                        let edge = (NodeId(buf.get_u32()), NodeId(buf.get_u32()));
-                        let at = get_point(&mut buf);
-                        Some(Crossing { edge, at })
-                    } else {
-                        None
-                    };
-                    Some(FaceWalk {
-                        start_dist,
-                        anchor,
-                        phase,
-                        first,
-                        prev,
-                        best,
-                    })
-                } else {
-                    None
-                };
-                RoutingState::Face { dir, walk }
-            }
-            t => return Err(format!("unknown state tag {t}")),
-        };
-        need(&buf, 2)?;
-        let n = buf.get_u16() as usize;
-        let mut dests = Vec::with_capacity(n);
-        for _ in 0..n {
-            need(&buf, 20)?;
-            dests.push(NodeId(buf.get_u32()));
-            let _pos = get_point(&mut buf); // locations re-derived from topology
-        }
-        Ok(MulticastPacket {
-            seq,
-            origin,
-            dests: dests.into(),
-            hops,
-            state,
-        })
+        HEADER + 1 + state + 2 + (ID + POINT) * self.dests.len()
     }
-}
-
-fn put_point(b: &mut BytesMut, p: Point) {
-    b.put_f64(p.x);
-    b.put_f64(p.y);
-}
-
-fn get_point(b: &mut Bytes) -> Point {
-    let x = b.get_f64();
-    let y = b.get_f64();
-    Point::new(x, y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn positions() -> Vec<Point> {
-        (0..10)
-            .map(|i| Point::new(i as f64 * 10.0, i as f64 * 5.0))
-            .collect()
-    }
-
-    #[test]
-    fn greedy_packet_round_trips() {
-        let p = MulticastPacket::new(7, NodeId(2), vec![NodeId(3), NodeId(9)]);
-        let enc = p.encode(&positions());
-        let dec = MulticastPacket::decode(enc).unwrap();
-        assert_eq!(dec, p);
-    }
-
-    #[test]
-    fn perimeter_packet_round_trips() {
-        let mut p = MulticastPacket::new(1, NodeId(0), vec![NodeId(5)]);
-        p.hops = 12;
-        p.state = RoutingState::Perimeter(PerimeterState {
-            dest: Point::new(1.0, 2.0),
-            entry: Point::new(3.0, 4.0),
-            face_entry: Point::new(5.0, 6.0),
-            first_edge: Some((NodeId(1), NodeId(2))),
-            prev: Some(NodeId(1)),
-        });
-        let dec = MulticastPacket::decode(p.encode(&positions())).unwrap();
-        assert_eq!(dec, p);
-        assert!(dec.in_perimeter_mode());
-    }
-
-    #[test]
-    fn unicast_leg_round_trips() {
-        let mut p = MulticastPacket::new(3, NodeId(1), vec![NodeId(4), NodeId(6)]);
-        p.state = RoutingState::UnicastLeg { target: NodeId(4) };
-        let dec = MulticastPacket::decode(p.encode(&positions())).unwrap();
-        assert_eq!(dec, p);
-    }
-
-    #[test]
-    fn source_tree_round_trips() {
-        let mut tree = HashMap::new();
-        tree.insert(NodeId(0), vec![NodeId(1), NodeId(2)]);
-        tree.insert(NodeId(1), vec![NodeId(3)]);
-        tree.insert(NodeId(2), vec![]);
-        tree.insert(NodeId(3), vec![]);
-        let mut p = MulticastPacket::new(9, NodeId(0), vec![NodeId(3)]);
-        p.state = RoutingState::SourceTree(Arc::new(tree));
-        let dec = MulticastPacket::decode(p.encode(&positions())).unwrap();
-        assert_eq!(dec, p);
-    }
-
-    #[test]
-    fn face_packet_round_trips() {
-        let mut p = MulticastPacket::new(4, NodeId(0), vec![NodeId(8)]);
-        // Promoted agent: direction only, no walk.
-        p.state = RoutingState::Face {
-            dir: FaceDir::Cw,
-            walk: None,
-        };
-        let dec = MulticastPacket::decode(p.encode(&positions())).unwrap();
-        assert_eq!(dec, p);
-        // Mid-walk agent with a recorded crossing.
-        p.state = RoutingState::Face {
-            dir: FaceDir::Ccw,
-            walk: Some(FaceWalk {
-                start_dist: 42.5,
-                anchor: Point::new(7.0, 8.0),
-                phase: FacePhase::Seek,
-                first: (NodeId(2), NodeId(3)),
-                prev: NodeId(5),
-                best: Some(Crossing {
-                    edge: (NodeId(3), NodeId(6)),
-                    at: Point::new(9.0, 10.0),
-                }),
-            }),
-        };
-        let dec = MulticastPacket::decode(p.encode(&positions())).unwrap();
-        assert_eq!(dec, p);
-        // Scan phase without a best crossing yet.
-        p.state = RoutingState::Face {
-            dir: FaceDir::Ccw,
-            walk: Some(FaceWalk {
-                start_dist: 1.0,
-                anchor: Point::new(0.0, 0.0),
-                phase: FacePhase::Scan,
-                first: (NodeId(0), NodeId(1)),
-                prev: NodeId(0),
-                best: None,
-            }),
-        };
-        let dec = MulticastPacket::decode(p.encode(&positions())).unwrap();
-        assert_eq!(dec, p);
-    }
-
-    #[test]
-    fn face_packet_survives_mutation_and_truncation() {
-        let mut p = MulticastPacket::new(4, NodeId(0), vec![NodeId(8)]);
-        p.state = RoutingState::Face {
-            dir: FaceDir::Ccw,
-            walk: Some(FaceWalk {
-                start_dist: 42.5,
-                anchor: Point::new(7.0, 8.0),
-                phase: FacePhase::Scan,
-                first: (NodeId(2), NodeId(3)),
-                prev: NodeId(5),
-                best: Some(Crossing {
-                    edge: (NodeId(3), NodeId(6)),
-                    at: Point::new(9.0, 10.0),
-                }),
-            }),
-        };
-        let enc = p.encode(&positions());
-        for i in 0..enc.len() {
-            for flip in [0x01u8, 0x80, 0xFF] {
-                let mut bytes = enc.to_vec();
-                bytes[i] ^= flip;
-                let _ = MulticastPacket::decode(Bytes::from(bytes));
-            }
-        }
-        for cut in [19, 21, 30, enc.len() - 1] {
-            assert!(
-                MulticastPacket::decode(enc.slice(0..cut)).is_err(),
-                "cut at {cut} should fail"
-            );
-        }
-    }
+    use gmp_geom::Point;
+    use gmp_net::traversal::{Crossing, FacePhase};
 
     #[test]
     fn dest_lists_compare_by_content_across_the_inline_bound() {
         let ids = |n: usize| (0..n as u32).map(NodeId).collect::<Vec<_>>();
-        let pos: Vec<Point> = (0..40).map(|i| Point::new(i as f64, 1.0)).collect();
         for len in [0, 1, INLINE_DESTS, INLINE_DESTS + 1, 3 * INLINE_DESTS] {
             let want = ids(len);
             let list = DestList::from(&want[..]);
@@ -617,11 +282,6 @@ mod tests {
             let want_odd: Vec<NodeId> = want.iter().copied().filter(|d| d.0 % 2 == 1).collect();
             assert_eq!(odd, want_odd);
             assert_eq!(list, want, "retain on a clone leaves the original");
-
-            for dests in [list, shrunk, odd] {
-                let p = MulticastPacket::new(3, NodeId(1), dests);
-                assert_eq!(MulticastPacket::decode(p.encode(&pos)).unwrap(), p);
-            }
         }
     }
 
@@ -638,12 +298,11 @@ mod tests {
 
     #[test]
     fn encoded_len_grows_with_destinations() {
-        let pos = positions();
         let p1 = MulticastPacket::new(1, NodeId(0), vec![NodeId(1)]);
         let p3 = MulticastPacket::new(1, NodeId(0), vec![NodeId(1), NodeId(2), NodeId(3)]);
-        assert!(p3.encoded_len(&pos) > p1.encoded_len(&pos));
+        assert!(p3.encoded_len() > p1.encoded_len());
         // 20 bytes per destination entry.
-        assert_eq!(p3.encoded_len(&pos) - p1.encoded_len(&pos), 40);
+        assert_eq!(p3.encoded_len() - p1.encoded_len(), 40);
     }
 
     /// The size the overhead ablation charges for each routing-state
@@ -651,7 +310,7 @@ mod tests {
     /// 2-byte count and 20 bytes (id and location) per destination.
     #[test]
     fn encoded_len_pins_every_state_shape() {
-        let size = |p: &MulticastPacket| p.encoded_len(&positions());
+        let size = |p: &MulticastPacket| p.encoded_len();
         let perimeter = |first_edge, prev| {
             RoutingState::Perimeter(PerimeterState {
                 dest: Point::new(1.0, 2.0),
@@ -719,45 +378,6 @@ mod tests {
             p.hops = 12;
             p.state = state;
             assert_eq!(size(&p), bytes, "{:?}", p.state);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(MulticastPacket::decode(Bytes::from_static(b"xx")).is_err());
-        assert!(MulticastPacket::decode(Bytes::from_static(b"")).is_err());
-        let mut junk = BytesMut::new();
-        junk.put_u8(b'Q');
-        junk.put_slice(&[0u8; 30]);
-        assert!(MulticastPacket::decode(junk.freeze()).is_err());
-    }
-
-    #[test]
-    fn decode_never_panics_on_mutated_packets() {
-        // Bit-flip fuzzing: corrupt every byte of a valid encoding in turn
-        // and make sure decode returns (Ok or Err) instead of panicking.
-        let mut p = MulticastPacket::new(7, NodeId(2), vec![NodeId(3), NodeId(9)]);
-        p.state = RoutingState::UnicastLeg { target: NodeId(3) };
-        let enc = p.encode(&positions());
-        for i in 0..enc.len() {
-            for flip in [0x01u8, 0x80, 0xFF] {
-                let mut bytes = enc.to_vec();
-                bytes[i] ^= flip;
-                let _ = MulticastPacket::decode(Bytes::from(bytes));
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let p = MulticastPacket::new(7, NodeId(2), vec![NodeId(3), NodeId(9)]);
-        let enc = p.encode(&positions());
-        for cut in [3, 10, 19, enc.len() - 1] {
-            let truncated = enc.slice(0..cut);
-            assert!(
-                MulticastPacket::decode(truncated).is_err(),
-                "cut at {cut} should fail"
-            );
         }
     }
 }

@@ -26,7 +26,6 @@
 //! `crates/bench/tests/sim_parity.rs` and DESIGN.md).
 
 use gmp_faults::{FailureCause, FaultScratch};
-use gmp_geom::Point;
 use gmp_net::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,7 +165,7 @@ pub struct SimScratch {
     /// Proximate failure cause per still-pending destination, recorded on
     /// every packet drop (last write wins) and consumed by the oracle.
     drop_cause: Vec<FailureCause>,
-    /// Compiled fault-plan state (timed events) and oracle buffers.
+    /// Compiled fault-plan state (timed crashes) and oracle buffers.
     faults: FaultScratch,
 }
 
@@ -277,7 +276,6 @@ impl<'a> TaskRunner<'a> {
         report: &mut TaskReport,
         log: &mut LinkLog,
         energy: &EnergyModel,
-        positions: &[Point],
         on_air: &mut OnAir,
         rng: &mut StdRng,
         pending: &[bool],
@@ -297,7 +295,7 @@ impl<'a> TaskRunner<'a> {
                 continue;
             }
             let bytes = if self.config.size_dependent_airtime {
-                fwd.packet.encoded_len(positions)
+                fwd.packet.encoded_len()
             } else {
                 self.config.message_bytes
             };
@@ -346,7 +344,7 @@ impl<'a> TaskRunner<'a> {
 /// `finish`; a concurrent engine (the `gmp-service` crate) interleaves the
 /// `step` calls of many sessions over one shared topology. A session owns
 /// every piece of mutable per-task state — its [`SimScratch`] (event
-/// queue, liveness tables, compiled fault timeline), its
+/// queue, liveness tables, compiled crash timeline), its
 /// failure-injection RNG, and its [`TaskReport`] — and its simulated
 /// clock is task-local (t = 0 at `begin`), so the interleaving order
 /// across sessions cannot change any session's outcome: every report is
@@ -361,9 +359,7 @@ pub struct Session<'a> {
     energy: EnergyModel,
     rng: StdRng,
     source: NodeId,
-    has_events: bool,
-    has_duty: bool,
-    has_churn: bool,
+    has_crashes: bool,
     events_processed: usize,
     decisions: usize,
     done: bool,
@@ -371,7 +367,7 @@ pub struct Session<'a> {
 
 impl<'a> Session<'a> {
     /// Starts the task: samples failure injection, primes the compiled
-    /// fault timeline, and processes the source's initial routing decision
+    /// crash timeline, and processes the source's initial routing decision
     /// — everything the sequential loop did before popping its first
     /// event. The session takes ownership of `scratch` (warm buffers and
     /// the compiled-plan cache carry over) and returns it through
@@ -386,7 +382,6 @@ impl<'a> Session<'a> {
         let TaskRunner { topo, config } = runner;
         let mut report = TaskReport::new(protocol.name());
         let energy = EnergyModel::from_config(config);
-        let positions = topo.positions_ref();
         let mut rng = StdRng::seed_from_u64(seed);
 
         let SimScratch {
@@ -409,18 +404,16 @@ impl<'a> Session<'a> {
 
         // Failure injection: sample the Bernoulli dead nodes (never the
         // source, so the task can at least start), then apply the fault
-        // plan's t = 0 state. The timed-event machinery consumes no task
-        // RNG, keeping Bernoulli-only runs bit-identical to the seed's.
+        // plan's t = 0 crashes. The crash timeline consumes no task RNG,
+        // keeping Bernoulli-only runs bit-identical to the seed's.
         let plan = &config.faults;
         alive.clear();
         alive.resize(topo.len(), true);
         plan.sample_node_failures(&mut rng, task.source, alive);
-        let has_events = plan.has_events();
-        if has_events {
+        let has_crashes = plan.has_crashes();
+        if has_crashes {
             faults.begin_task(plan, topo, task.source, alive);
         }
-        let has_duty = has_events && faults.has_duty();
-        let has_churn = has_events && faults.has_churn();
 
         drop_cause.clear();
         drop_cause.resize(topo.len(), FailureCause::NoRoute);
@@ -438,13 +431,13 @@ impl<'a> Session<'a> {
         // Contexts are built inline (not through a closure) because the
         // liveness view reborrows `alive`, which `advance_to` also
         // mutates; the view is only exposed when the plan has timed
-        // events, so fault-free decisions stay bit-identical.
+        // crashes, so fault-free decisions stay bit-identical.
         {
             let ctx = NodeContext {
                 topo,
                 node: task.source,
                 config,
-                alive: has_events.then_some(alive.as_slice()),
+                alive: has_crashes.then_some(alive.as_slice()),
             };
             protocol.on_task_start(&ctx, task.source, &task.dests);
 
@@ -459,7 +452,6 @@ impl<'a> Session<'a> {
             &mut report,
             log,
             &energy,
-            positions,
             on_air,
             &mut rng,
             pending,
@@ -474,9 +466,7 @@ impl<'a> Session<'a> {
             energy,
             rng,
             source: task.source,
-            has_events,
-            has_duty,
-            has_churn,
+            has_crashes,
             events_processed: 0,
             // The initial packet was one routing decision.
             decisions: 1,
@@ -544,7 +534,7 @@ impl<'a> Session<'a> {
             faults.classify_failures(
                 self.topo,
                 self.source,
-                self.has_events,
+                self.has_crashes,
                 alive,
                 pending,
                 drop_cause,
@@ -571,18 +561,14 @@ impl<'a> Session<'a> {
             energy,
             rng,
             source,
-            has_events,
-            has_duty,
-            has_churn,
+            has_crashes,
             events_processed,
             decisions,
             done,
             ..
         } = self;
-        let (topo, config, source) = (*topo, *config, *source);
-        let (has_events, has_duty, has_churn) = (*has_events, *has_duty, *has_churn);
+        let (topo, config, source, has_crashes) = (*topo, *config, *source, *has_crashes);
         let runner = TaskRunner { topo, config };
-        let positions = topo.positions_ref();
         let plan = &config.faults;
         let SimScratch {
             queue,
@@ -614,26 +600,12 @@ impl<'a> Session<'a> {
             retries,
             mut packet,
         } = event;
-        if has_events {
+        if has_crashes {
             faults.advance_to(time, source, alive);
         }
         if !alive[to.index()] {
             report.dropped_packets += 1;
             record_drop(&packet.dests, pending, drop_cause, FailureCause::DeadNode);
-            return false;
-        }
-        // Duty-cycle sleep: a sleeping receiver misses the copy just
-        // like a dead one, but wakes up again (and the oracle never
-        // excuses the miss).
-        if has_duty && to != source && faults.node_asleep(to, time) {
-            report.dropped_packets += 1;
-            record_drop(&packet.dests, pending, drop_cause, FailureCause::DeadNode);
-            return false;
-        }
-        // Link churn: the link was severed while the copy was on it.
-        if has_churn && faults.link_severed(from, to, time) {
-            report.dropped_packets += 1;
-            record_drop(&packet.dests, pending, drop_cause, FailureCause::LinkDown);
             return false;
         }
         // Link-loss injection: the transmission was made (and paid
@@ -700,12 +672,12 @@ impl<'a> Session<'a> {
             topo,
             node: to,
             config,
-            alive: has_events.then_some(alive.as_slice()),
+            alive: has_crashes.then_some(alive.as_slice()),
         };
         *decisions += 1;
         protocol.on_packet(&ctx, packet, forwards);
         runner.transmit_jittered(
-            to, forwards, queue, report, log, energy, positions, on_air, rng, pending, drop_cause,
+            to, forwards, queue, report, log, energy, on_air, rng, pending, drop_cause,
         );
         false
     }

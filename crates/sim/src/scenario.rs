@@ -18,24 +18,19 @@
 //! destinations. Floats use Rust's shortest round-trip formatting, so
 //! save → load reproduces coordinates exactly.
 //!
-//! Fault plans ride along as `fault` lines, one per knob or event:
+//! Fault plans ride along as `fault` lines: the Bernoulli knobs, then one
+//! line per crash (node, then time in seconds):
 //!
 //! ```text
 //! fault bernoulli 0.05 0.01
 //! fault crash 7 12.5
-//! fault blackout disk 500 500 120 10 inf
-//! fault blackout rect 0 0 200 200 5 30
-//! fault duty 10 0.8
-//! fault churn 0 60 1 5 0 2 42
 //! ```
-//!
-//! Infinite blackout ends serialize as `inf` and round-trip exactly.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use gmp_faults::{FaultEvent, FaultPlan, FaultRegion};
+use gmp_faults::FaultPlan;
 use gmp_geom::{Aabb, Point};
 use gmp_net::{NodeId, Topology};
 
@@ -136,51 +131,8 @@ impl Scenario {
                 self.faults.node_failure_prob, self.faults.link_loss_prob
             );
         }
-        for ev in &self.faults.events {
-            match *ev {
-                FaultEvent::Crash { node, at_s } => {
-                    let _ = writeln!(out, "fault crash {} {}", node.0, at_s);
-                }
-                FaultEvent::Blackout {
-                    region,
-                    start_s,
-                    end_s,
-                } => match region {
-                    FaultRegion::Disk { center, radius } => {
-                        let _ = writeln!(
-                            out,
-                            "fault blackout disk {} {} {} {} {}",
-                            center.x, center.y, radius, start_s, end_s
-                        );
-                    }
-                    FaultRegion::Rect { min, max } => {
-                        let _ = writeln!(
-                            out,
-                            "fault blackout rect {} {} {} {} {} {}",
-                            min.x, min.y, max.x, max.y, start_s, end_s
-                        );
-                    }
-                },
-                FaultEvent::DutyCycle {
-                    period_s,
-                    on_fraction,
-                } => {
-                    let _ = writeln!(out, "fault duty {period_s} {on_fraction}");
-                }
-                FaultEvent::LinkChurn {
-                    start_s,
-                    end_s,
-                    speed_mps,
-                    pause_s,
-                    seed,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "fault churn {} {} {} {} {} {} {}",
-                        start_s, end_s, speed_mps.0, speed_mps.1, pause_s.0, pause_s.1, seed
-                    );
-                }
-            }
+        for crash in &self.faults.crashes {
+            let _ = writeln!(out, "fault crash {} {}", crash.node.0, crash.at_s);
         }
         out
     }
@@ -317,79 +269,6 @@ impl Scenario {
                                 return Err(err(line_no, "crash time must be non-negative"));
                             }
                             faults = faults.with_crash(NodeId(node), at_s);
-                        }
-                        "blackout" => {
-                            let shape = *args
-                                .first()
-                                .ok_or_else(|| err(line_no, "blackout needs disk|rect"))?;
-                            let nums: Result<Vec<f64>, _> = args[1..]
-                                .iter()
-                                .map(|s| parse_f64(s, "blackout number"))
-                                .collect();
-                            let nums = nums?;
-                            let (region, start_s, end_s) = match (shape, nums.as_slice()) {
-                                ("disk", [cx, cy, r, s, e]) => (
-                                    FaultRegion::Disk {
-                                        center: Point::new(*cx, *cy),
-                                        radius: *r,
-                                    },
-                                    *s,
-                                    *e,
-                                ),
-                                ("rect", [x0, y0, x1, y1, s, e]) => (
-                                    FaultRegion::Rect {
-                                        min: Point::new(*x0, *y0),
-                                        max: Point::new(*x1, *y1),
-                                    },
-                                    *s,
-                                    *e,
-                                ),
-                                _ => return Err(err(line_no, "malformed blackout")),
-                            };
-                            if !(start_s >= 0.0 && start_s < end_s) {
-                                return Err(err(line_no, "bad blackout window"));
-                            }
-                            faults = faults.with_blackout(region, start_s, end_s);
-                        }
-                        "duty" => {
-                            if args.len() != 2 {
-                                return Err(err(line_no, "fault duty needs period on_fraction"));
-                            }
-                            let period_s = parse_f64(args[0], "duty period")?;
-                            let on_fraction = parse_f64(args[1], "duty on-fraction")?;
-                            if period_s <= 0.0 || !(on_fraction > 0.0 && on_fraction <= 1.0) {
-                                return Err(err(line_no, "bad duty cycle"));
-                            }
-                            faults = faults.with_duty_cycle(period_s, on_fraction);
-                        }
-                        "churn" => {
-                            if args.len() != 7 {
-                                return Err(err(
-                                    line_no,
-                                    "fault churn needs start end smin smax pmin pmax seed",
-                                ));
-                            }
-                            let nums: Result<Vec<f64>, _> = args[..6]
-                                .iter()
-                                .map(|s| parse_f64(s, "churn number"))
-                                .collect();
-                            let nums = nums?;
-                            let seed: u64 = args[6]
-                                .parse()
-                                .map_err(|_| err(line_no, "bad churn seed"))?;
-                            let (start_s, end_s) = (nums[0], nums[1]);
-                            let speed = (nums[2], nums[3]);
-                            let pause = (nums[4], nums[5]);
-                            if !(start_s >= 0.0 && start_s < end_s && end_s.is_finite()) {
-                                return Err(err(line_no, "bad churn window"));
-                            }
-                            if !(speed.0 > 0.0 && speed.0 <= speed.1) {
-                                return Err(err(line_no, "bad speed range"));
-                            }
-                            if !(pause.0 >= 0.0 && pause.0 <= pause.1) {
-                                return Err(err(line_no, "bad pause range"));
-                            }
-                            faults = faults.with_link_churn(start_s, end_s, speed, pause, seed);
                         }
                         other => {
                             return Err(err(line_no, &format!("unknown fault kind `{other}`")))
@@ -550,27 +429,11 @@ mod tests {
             .with_node_failure_prob(0.05)
             .with_link_loss_prob(0.012_5)
             .with_crash(NodeId(7), 12.5)
-            .with_blackout(
-                FaultRegion::Disk {
-                    center: Point::new(250.0, 250.0),
-                    radius: 90.0,
-                },
-                10.0,
-                f64::INFINITY,
-            )
-            .with_blackout(
-                FaultRegion::Rect {
-                    min: Point::new(0.0, 0.0),
-                    max: Point::new(120.0, 80.0),
-                },
-                5.0,
-                30.0,
-            )
-            .with_duty_cycle(10.0, 0.8)
-            .with_link_churn(0.0, 60.0, (1.0, 5.0), (0.0, 2.0), 42);
+            .with_crash(NodeId(3), 0.0)
+            .with_crash(NodeId(7), 1e-3);
         let s = sample().with_faults(faults);
         let text = s.to_text();
-        assert!(text.contains("fault blackout disk 250 250 90 10 inf"));
+        assert!(text.contains("fault crash 7 12.5\nfault crash 3 0\nfault crash 7 0.001\n"));
         // Equal by value: exactly the check the compiled-plan cache makes,
         // so a reloaded plan reuses the compiled plan.
         let parsed = Scenario::from_text(&text).unwrap();
@@ -593,11 +456,12 @@ mod tests {
         let cases = [
             ("fault bernoulli 1.5 0\n", "probability out of range"),
             ("fault crash 0 -1\n", "non-negative"),
-            ("fault blackout disk 0 0 5 9 2\n", "bad blackout window"),
-            ("fault blackout tri 0 0 5 0 1\n", "malformed blackout"),
-            ("fault duty 0 0.5\n", "bad duty cycle"),
-            ("fault churn 0 inf 1 2 0 1 3\n", "bad churn window"),
-            ("fault churn 0 10 0 2 0 1 3\n", "bad speed range"),
+            (
+                "fault blackout disk 0 0 5 9 2\n",
+                "unknown fault kind `blackout`",
+            ),
+            ("fault duty 10 0.5\n", "unknown fault kind `duty`"),
+            ("fault churn 0 10 1 2 0 1 3\n", "unknown fault kind `churn`"),
             ("fault wat 1\n", "unknown fault kind"),
         ];
         for (line, needle) in cases {

@@ -1,20 +1,15 @@
-//! Input-boundary fuzzing: the two ways data enters the simulator from
-//! outside the process — scenario files and wire packets — must answer
-//! any input with `Ok` or a typed `Err`, never a panic, and valid values
-//! must round-trip exactly.
+//! Input-boundary fuzzing: scenario files, the way data enters the
+//! simulator from outside the process, must answer any input with `Ok` or
+//! a typed `Err`, never a panic, and valid scenarios must round-trip
+//! exactly.
 //!
 //! Scenario `fault` lines are where a `FaultPlan` enters from outside, and
 //! the compiled-plan cache recognises a plan by value, so a reloaded plan
 //! must compare equal to the one that was saved.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use bytes::Bytes;
 use gmp_geom::{Aabb, Point};
-use gmp_net::traversal::{Crossing, FacePhase};
-use gmp_net::{FaceDir, FaceWalk, NodeId, PerimeterState};
-use gmp_sim::{FaultPlan, FaultRegion, MulticastPacket, MulticastTask, RoutingState, Scenario};
+use gmp_net::NodeId;
+use gmp_sim::{FaultPlan, MulticastTask, Scenario};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -35,76 +30,9 @@ fn point(rng: &mut StdRng) -> Point {
     Point::new(finite(rng), finite(rng))
 }
 
-/// Nodes the packet tests address; destinations index into these.
-fn positions() -> Vec<Point> {
-    (0..16)
-        .map(|i| Point::new(i as f64 * 10.0, i as f64 * 5.0))
-        .collect()
-}
-
-/// A random valid packet: every routing state, any finite coordinates,
-/// and list lengths inside the wire format's counters.
-fn arbitrary_packet(seed: u64, node_count: usize) -> MulticastPacket {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rng = &mut rng;
-    let node = |rng: &mut StdRng| NodeId(rng.gen());
-    let dests: Vec<NodeId> = (0..rng.gen_range(0..12usize))
-        .map(|_| NodeId(rng.gen_range(0..node_count as u32)))
-        .collect();
-    let mut p = MulticastPacket::new(rng.gen(), node(rng), dests);
-    p.hops = rng.gen();
-    p.state = match rng.gen_range(0..6u8) {
-        0 => RoutingState::Greedy,
-        1 => RoutingState::Perimeter(PerimeterState {
-            dest: point(rng),
-            entry: point(rng),
-            face_entry: point(rng),
-            first_edge: rng.gen_bool(0.5).then(|| (node(rng), node(rng))),
-            prev: rng.gen_bool(0.5).then(|| node(rng)),
-        }),
-        2 => RoutingState::UnicastLeg { target: node(rng) },
-        3 => {
-            let tree: HashMap<NodeId, Vec<NodeId>> = (0..rng.gen_range(0..8usize))
-                .map(|_| {
-                    let children = (0..rng.gen_range(0..6usize)).map(|_| node(rng)).collect();
-                    (node(rng), children)
-                })
-                .collect();
-            RoutingState::SourceTree(Arc::new(tree))
-        }
-        4 => RoutingState::Face {
-            dir: if rng.gen_bool(0.5) {
-                FaceDir::Ccw
-            } else {
-                FaceDir::Cw
-            },
-            walk: None,
-        },
-        _ => RoutingState::Face {
-            dir: FaceDir::Cw,
-            walk: Some(FaceWalk {
-                start_dist: finite(rng),
-                anchor: point(rng),
-                phase: if rng.gen_bool(0.5) {
-                    FacePhase::Scan
-                } else {
-                    FacePhase::Seek
-                },
-                first: (node(rng), node(rng)),
-                prev: node(rng),
-                best: rng.gen_bool(0.5).then(|| Crossing {
-                    edge: (node(rng), node(rng)),
-                    at: point(rng),
-                }),
-            }),
-        },
-    };
-    p
-}
-
 /// A random valid scenario: finite coordinates of any magnitude, tasks
-/// with distinct non-source destinations, and a fault plan using every
-/// kind of `fault` line.
+/// with distinct non-source destinations, and a fault plan using both
+/// kinds of `fault` line.
 fn arbitrary_scenario(seed: u64) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
     let rng = &mut rng;
@@ -133,43 +61,7 @@ fn arbitrary_scenario(seed: u64) -> Scenario {
             .with_link_loss_prob(rng.gen());
     }
     for _ in 0..rng.gen_range(0..6usize) {
-        let start_s = rng.gen_range(0.0..1e4);
-        let end_s = start_s + rng.gen_range(1e-3..1e4);
-        let open_end = if rng.gen_bool(0.3) {
-            f64::INFINITY
-        } else {
-            end_s
-        };
-        faults = match rng.gen_range(0..5u8) {
-            0 => faults.with_crash(NodeId(rng.gen()), start_s),
-            1 => faults.with_blackout(
-                FaultRegion::Disk {
-                    center: point(rng),
-                    radius: finite(rng).abs(),
-                },
-                start_s,
-                open_end,
-            ),
-            2 => faults.with_blackout(
-                FaultRegion::Rect {
-                    min: point(rng),
-                    max: point(rng),
-                },
-                start_s,
-                open_end,
-            ),
-            3 => faults.with_duty_cycle(
-                rng.gen_range(1e-3..1e3),
-                rng.gen_range(f64::MIN_POSITIVE..=1.0),
-            ),
-            _ => {
-                let speed = rng.gen_range(1e-3..50.0);
-                let pause = rng.gen_range(0.0..10.0);
-                let walk_speed = (speed, speed + rng.gen_range(0.0..50.0));
-                let walk_pause = (pause, pause + rng.gen_range(0.0..10.0));
-                faults.with_link_churn(start_s, end_s, walk_speed, walk_pause, rng.gen())
-            }
-        };
+        faults = faults.with_crash(NodeId(rng.gen()), rng.gen_range(0.0..1e4));
     }
     Scenario {
         area,
@@ -180,21 +72,17 @@ fn arbitrary_scenario(seed: u64) -> Scenario {
     }
 }
 
-/// Line heads the scenario grammar knows, down to the fault kind and
-/// blackout shape, with their argument counts, so inserted lines get past
-/// the keyword and the arity check into the value checks that guard the
-/// `FaultPlan` builders' assertions.
-const HEADS: [(&str, usize); 11] = [
+/// Line heads the scenario grammar knows, down to the fault kind, with
+/// their argument counts, so inserted lines get past the keyword and the
+/// arity check into the value checks that guard the `FaultPlan` builders'
+/// assertions.
+const HEADS: [(&str, usize); 7] = [
     ("area", 4),
     ("radio_range", 1),
     ("node", 3),
     ("task", 3),
     ("fault bernoulli", 2),
     ("fault crash", 2),
-    ("fault blackout disk", 5),
-    ("fault blackout rect", 6),
-    ("fault duty", 2),
-    ("fault churn", 7),
     ("fault", 1),
 ];
 
@@ -273,44 +161,6 @@ fn mutate(lines: &mut Vec<String>, rng: &mut StdRng) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn decode_never_panics_on_arbitrary_bytes(
-        mut bytes in proptest::collection::vec(0u8..=255, 0..200),
-        framed in proptest::bool::ANY,
-        tag in 0u8..6,
-    ) {
-        // Half the inputs carry the magic, version and a state tag, so the
-        // fuzz gets past the header into every state decoder and the
-        // destination list.
-        if framed && bytes.len() > 18 {
-            bytes[0] = b'G';
-            bytes[1] = 1;
-            bytes[18] = tag;
-        }
-        let _ = MulticastPacket::decode(Bytes::from(bytes));
-    }
-
-    #[test]
-    fn valid_packets_round_trip_and_corruption_never_panics(
-        seed in 0u64..u64::MAX,
-        flip_at in 0usize..1024,
-        flip in 1u8..=255,
-        cut in 0usize..1024,
-    ) {
-        let positions = positions();
-        let packet = arbitrary_packet(seed, positions.len());
-        let wire = packet.encode(&positions);
-        prop_assert_eq!(wire.len(), packet.encoded_len(&positions));
-        prop_assert_eq!(MulticastPacket::decode(wire.clone()), Ok(packet));
-
-        let mut corrupt = wire.to_vec();
-        let len = corrupt.len();
-        corrupt[flip_at % len] ^= flip;
-        corrupt.truncate(cut % (len + 1));
-        let _ = MulticastPacket::decode(Bytes::from(corrupt));
-        prop_assert!(MulticastPacket::decode(wire.slice(0..cut % len)).is_err());
-    }
 
     #[test]
     fn valid_scenarios_round_trip(seed in 0u64..u64::MAX) {
