@@ -164,16 +164,23 @@ fn cmd_info(args: Vec<String>) -> Result<String, String> {
     Ok(out)
 }
 
+/// The paper's configuration fitted to a scenario's deployment, with the
+/// scenario's fault plan applied.
+fn scenario_config(scenario: &Scenario, topo: &Topology) -> SimConfig {
+    SimConfig::paper()
+        .with_area_side(topo.area().width())
+        .with_node_count(topo.len())
+        .with_radio_range(topo.radio_range())
+        .with_faults(scenario.faults.clone())
+}
+
 fn cmd_run(mut args: Vec<String>) -> Result<String, String> {
     let protocol_name: String = parse_flag(&mut args, "--protocol", "gmp".to_string())?;
     let kind = parse_protocol(&protocol_name)?;
     let path = args.first().ok_or("run needs a scenario path")?;
     let scenario = load(path)?;
     let topo = scenario.topology();
-    let config = SimConfig::paper()
-        .with_area_side(topo.area().width())
-        .with_node_count(topo.len())
-        .with_radio_range(topo.radio_range());
+    let config = scenario_config(&scenario, &topo);
     let runner = TaskRunner::new(&topo, &config);
     let mut out = String::new();
     let _ = writeln!(
@@ -224,10 +231,7 @@ fn cmd_render(mut args: Vec<String>) -> Result<String, String> {
         .tasks
         .get(task_idx)
         .ok_or_else(|| format!("scenario has no task {task_idx}"))?;
-    let config = SimConfig::paper()
-        .with_area_side(topo.area().width())
-        .with_node_count(topo.len())
-        .with_radio_range(topo.radio_range());
+    let config = scenario_config(&scenario, &topo);
     let mut proto = kind.build();
     let report = TaskRunner::new(&topo, &config).run(proto.as_mut(), task);
     let mut scene = SvgScene::new(topo.area());
@@ -308,6 +312,44 @@ mod tests {
         assert!(render.contains("rendered task 1"));
         let svg = std::fs::read_to_string(&svg_path).unwrap();
         assert!(svg.starts_with("<svg"));
+    }
+
+    #[test]
+    fn run_and_render_apply_the_scenario_fault_plan() {
+        let scenario_path = tmp("faulted.txt");
+        let svg_path = tmp("faulted.svg");
+        run_cli(&s(&[
+            "generate",
+            "--nodes",
+            "200",
+            "--area",
+            "600",
+            "--seed",
+            "3",
+            "--tasks",
+            "1",
+            "--k",
+            "6",
+            &scenario_path,
+        ]))
+        .unwrap();
+        let run = || run_cli(&s(&["run", &scenario_path])).unwrap();
+        let fault_free = run();
+        assert!(fault_free.contains("6/6"), "{fault_free}");
+
+        // Crash one destination from the start: the task falls short.
+        let scenario = Scenario::load(std::path::Path::new(&scenario_path)).unwrap();
+        let dest = scenario.tasks[0].dests[0];
+        let plan = gmp_sim::FaultPlan::none().with_crash(dest, 0.0);
+        scenario
+            .with_faults(plan)
+            .save(std::path::Path::new(&scenario_path))
+            .unwrap();
+        let faulted = run();
+        assert!(faulted.contains("5/6"), "{faulted}");
+        assert!(faulted.contains("1 failed task(s)"), "{faulted}");
+        let render = run_cli(&s(&["render", &scenario_path, &svg_path])).unwrap();
+        assert!(render.contains("5/6 delivered"), "{render}");
     }
 
     #[test]
