@@ -104,7 +104,7 @@ use crate::grouping::{DecisionScratch, Grouping};
 /// affect only speed, never outcomes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
-    /// Maximum number of stored decisions (`GMP_CACHE_CAPACITY`), at most
+    /// Maximum number of stored decisions, at most
     /// [`CacheConfig::MAX_CAPACITY`]; a full cache computes further
     /// decisions without storing them.
     pub capacity: usize,
@@ -139,43 +139,19 @@ impl CacheConfig {
         );
     }
 
-    /// The defaults with any `GMP_CACHE_CAPACITY` / `GMP_CACHE_PARANOID`
-    /// environment overrides applied. Unparsable or out-of-range values
-    /// fall back to the defaults with a warning on stderr — never a panic.
+    /// The defaults, with paranoid mode on when `GMP_CACHE_PARANOID` is
+    /// set to any value but `0`.
     pub fn from_env() -> Self {
-        let (config, warnings) = CacheConfig::from_lookup(|key| std::env::var(key).ok());
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
-        config
+        CacheConfig::with_paranoid_var(std::env::var("GMP_CACHE_PARANOID").ok().as_deref())
     }
 
-    /// [`CacheConfig::from_env`] with the variable source injected, so the
-    /// malformed-input paths are testable without mutating the process
-    /// environment. Returns the resolved configuration plus one warning
-    /// message per rejected value.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
-        let mut config = CacheConfig::default();
-        let mut warnings = Vec::new();
-        config.capacity = crate::knob::env_knob(
-            &lookup,
-            "GMP_CACHE_CAPACITY",
-            config.capacity,
-            &format!("is not an integer in 1..={}", CacheConfig::MAX_CAPACITY),
-            &format!("default {}", config.capacity),
-            |raw| {
-                raw.parse::<usize>()
-                    .ok()
-                    .filter(|cap| (1..=CacheConfig::MAX_CAPACITY).contains(cap))
-            },
-            &mut warnings,
-        );
-        // Any value but "0" enables paranoid mode — no malformed case, by
-        // construction.
-        if let Some(raw) = lookup("GMP_CACHE_PARANOID") {
-            config.paranoid = raw != "0";
+    /// [`CacheConfig::from_env`] given the variable's value, so every
+    /// case is testable without mutating the process environment.
+    fn with_paranoid_var(raw: Option<&str>) -> Self {
+        CacheConfig {
+            paranoid: raw.is_some_and(|v| v != "0"),
+            ..CacheConfig::default()
         }
-        (config, warnings)
     }
 }
 
@@ -1111,69 +1087,18 @@ mod tests {
         assert!(config.capacity > 0);
     }
 
-    /// A lookup table standing in for the process environment.
-    fn lookup_from<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |key| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
-    #[test]
-    fn malformed_env_values_fall_back_to_defaults_with_warnings() {
-        let defaults = CacheConfig::default();
-        // 2^40 would preallocate a 16 TiB slot table; 2^63 + 1 overflows
-        // `next_power_of_two`.
-        for bad in [
-            "banana",
-            "0",
-            "-3",
-            "1.5",
-            "",
-            "1099511627776",
-            "9223372036854775809",
-        ] {
-            let (config, warnings) =
-                CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_CAPACITY", bad)]));
-            assert_eq!(config, defaults, "capacity {bad:?}");
-            assert_eq!(warnings.len(), 1, "capacity {bad:?}");
-            assert!(warnings[0].contains("GMP_CACHE_CAPACITY"), "{warnings:?}");
-        }
-    }
-
-    #[test]
-    fn valid_env_values_apply_without_warnings() {
-        let (config, warnings) = CacheConfig::from_lookup(lookup_from(&[
-            ("GMP_CACHE_CAPACITY", "1024"),
-            ("GMP_CACHE_PARANOID", "1"),
-        ]));
-        assert_eq!(config.capacity, 1024);
-        assert!(config.paranoid);
-        assert!(warnings.is_empty());
-        let max = CacheConfig::MAX_CAPACITY.to_string();
-        let (config, warnings) =
-            CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_CAPACITY", &max)]));
-        assert_eq!(config.capacity, CacheConfig::MAX_CAPACITY);
-        assert!(warnings.is_empty());
-    }
-
     #[test]
     fn paranoid_accepts_any_value_but_zero() {
         for (value, expect) in [("0", false), ("1", true), ("yes", true), ("", true)] {
-            let (config, warnings) =
-                CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_PARANOID", value)]));
+            let config = CacheConfig::with_paranoid_var(Some(value));
             assert_eq!(config.paranoid, expect, "paranoid {value:?}");
-            assert!(warnings.is_empty());
+            assert_eq!(config.capacity, CacheConfig::default().capacity);
         }
     }
 
     #[test]
     fn absent_env_yields_defaults_silently() {
-        let (config, warnings) = CacheConfig::from_lookup(|_| None);
-        assert_eq!(config, CacheConfig::default());
-        assert!(warnings.is_empty());
+        assert_eq!(CacheConfig::with_paranoid_var(None), CacheConfig::default());
     }
 
     #[test]

@@ -39,7 +39,6 @@
 
 pub mod cache;
 pub mod grouping;
-mod knob;
 pub mod router;
 
 pub use cache::{CacheConfig, CacheStats, ConcurrentTreeCache, TreeCache};

@@ -95,16 +95,8 @@ impl GmpRouter {
     /// routers (one warm cache across all engine workers instead of N
     /// cold private ones).
     pub fn with_shared_cache(cache: Arc<ConcurrentTreeCache>) -> Self {
-        GmpRouter::with_config_and_shared_cache(GmpConfig::default(), cache)
-    }
-
-    /// [`GmpRouter::with_config`] backed by a shared decision cache.
-    pub fn with_config_and_shared_cache(
-        config: GmpConfig,
-        cache: Arc<ConcurrentTreeCache>,
-    ) -> Self {
         GmpRouter {
-            config,
+            config: GmpConfig::default(),
             scratch: DecisionScratch::new(),
             cache: CacheBackend::Shared(cache),
         }

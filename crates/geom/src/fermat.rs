@@ -187,30 +187,6 @@ pub fn fermat_point(a: Point, b: Point, c: Point) -> FermatPoint {
     }
 }
 
-/// Fermat points of a batch of triangles given in SoA form
-/// (`a[i], b[i], c[i]`), written into `out[i]`.
-///
-/// Unlike the distance and ratio-bound kernels, the Fermat construction
-/// is dominated by data-dependent branches (coincidence, collinearity,
-/// and the three ≥ 120° vertex collapses), so the lanes cannot share
-/// vector instructions; each lane simply runs the scalar
-/// [`fermat_point`], which makes batch output bit-identical to the
-/// scalar calls by construction. The batch form still pays off in bulk
-/// evaluation (benchmarks, precomputation): the triangle data streams
-/// through in SoA order instead of bouncing through call-site shuffles.
-///
-/// # Panics
-///
-/// Panics if the four slices differ in length.
-pub fn fermat_point_batch(a: &[Point], b: &[Point], c: &[Point], out: &mut [FermatPoint]) {
-    assert_eq!(a.len(), b.len(), "SoA lanes must agree in length");
-    assert_eq!(a.len(), c.len(), "SoA lanes must agree in length");
-    assert_eq!(a.len(), out.len(), "output must match the lane count");
-    for i in 0..out.len() {
-        out[i] = fermat_point(a[i], b[i], c[i]);
-    }
-}
-
 /// The apex of the equilateral triangle erected on segment `p`–`q`, on the
 /// side *away* from `opposite`.
 fn outward_equilateral_apex(p: Point, q: Point, opposite: Point) -> Point {
@@ -428,54 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_covers_every_degenerate_case() {
-        // One lane per special case `fermat_point` distinguishes:
-        // coincident pair, all coincident, collinear, ≥ 120° at each
-        // vertex, and a generic interior triangle.
-        let a = vec![
-            Point::new(0.0, 0.0),  // coincident b == c
-            Point::new(1.0, 1.0),  // all coincident
-            Point::new(0.0, 0.0),  // collinear
-            Point::new(0.0, 0.0),  // wide angle at a
-            Point::new(10.0, 0.5), // wide angle at b (= a-case swapped)
-            Point::new(0.0, 0.0),  // generic interior
-        ];
-        let b = vec![
-            Point::new(3.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(1.0, 1.0),
-            Point::new(10.0, 0.5),
-            Point::new(0.0, 0.0),
-            Point::new(5.0, 1.0),
-        ];
-        let c = vec![
-            Point::new(3.0, 0.0),
-            Point::new(1.0, 1.0),
-            Point::new(2.0, 2.0),
-            Point::new(-10.0, 0.5),
-            Point::new(-10.0, 0.5),
-            Point::new(2.0, 4.0),
-        ];
-        let mut out = vec![
-            FermatPoint {
-                location: Point::ORIGIN,
-                kind: FermatKind::Interior,
-            };
-            a.len()
-        ];
-        fermat_point_batch(&a, &b, &c, &mut out);
-        for i in 0..a.len() {
-            assert_eq!(out[i], fermat_point(a[i], b[i], c[i]), "lane {i}");
-        }
-        assert_eq!(out[0].kind, FermatKind::AtVertex(1));
-        assert_eq!(out[1].kind, FermatKind::AtVertex(0));
-        assert_eq!(out[2].kind, FermatKind::AtVertex(1));
-        assert_eq!(out[3].kind, FermatKind::AtVertex(0));
-        assert_eq!(out[4].kind, FermatKind::AtVertex(1));
-        assert_eq!(out[5].kind, FermatKind::Interior);
-    }
-
-    #[test]
     fn invariant_under_rotation_and_translation() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(4.0, 1.0);
@@ -595,34 +523,6 @@ mod proptests {
         ) {
             for (a, b, c) in tris {
                 wide_matches_reference(a, b, c)?;
-            }
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn fermat_batch_is_bit_identical_to_scalar(
-            tris in proptest::collection::vec(triangle(), 0..24),
-        ) {
-            let a: Vec<Point> = tris.iter().map(|t| t.0).collect();
-            let b: Vec<Point> = tris.iter().map(|t| t.1).collect();
-            let c: Vec<Point> = tris.iter().map(|t| t.2).collect();
-            let mut out = vec![
-                FermatPoint { location: Point::ORIGIN, kind: FermatKind::Interior };
-                tris.len()
-            ];
-            fermat_point_batch(&a, &b, &c, &mut out);
-            for (i, &(ta, tb, tc)) in tris.iter().enumerate() {
-                let scalar = fermat_point(ta, tb, tc);
-                prop_assert_eq!(out[i].kind, scalar.kind, "lane {} kind", i);
-                prop_assert_eq!(
-                    out[i].location.x.to_bits(), scalar.location.x.to_bits(),
-                    "lane {} x: batch {} vs scalar {}", i, out[i].location, scalar.location
-                );
-                prop_assert_eq!(
-                    out[i].location.y.to_bits(), scalar.location.y.to_bits(),
-                    "lane {} y: batch {} vs scalar {}", i, out[i].location, scalar.location
-                );
             }
         }
     }

@@ -35,7 +35,7 @@ pub mod predicates;
 pub mod segment;
 
 pub use aabb::Aabb;
-pub use fermat::{fermat_point, fermat_point_batch, FermatKind, FermatPoint};
+pub use fermat::{fermat_point, FermatKind, FermatPoint};
 pub use point::{dist_batch, Point, Vec2};
 pub use predicates::Orientation;
 pub use segment::Segment;

@@ -12,9 +12,7 @@
 //!   Neighborhood Graph, as required by right-hand-rule traversal \[29, 9\];
 //! * [`face`] — GPSR-style perimeter (face) routing primitives \[4, 13\];
 //! * [`traversal`] — guaranteed-delivery FACE-1 face walks (both
-//!   orientations, live-subgraph planarization) for MCFR/GVG;
-//! * [`graph`] — generic shortest-path utilities over the unit-disk graph,
-//!   used by the centralized SMT baseline.
+//!   orientations, live-subgraph planarization) for MCFR/GVG.
 //!
 //! # Example
 //!
@@ -37,7 +35,6 @@
 
 pub mod csr;
 pub mod face;
-pub mod graph;
 pub mod grid;
 pub mod mobility;
 pub mod node;
