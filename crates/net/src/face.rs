@@ -19,12 +19,12 @@
 //! * before traversing an edge that crosses the `face_entry`–`dest` line at
 //!   a point closer to `dest`, the packet moves to the adjacent face.
 
-use gmp_geom::{Point, Segment};
+use gmp_geom::Point;
 
 use crate::node::NodeId;
 use crate::planar::PlanarKind;
 use crate::topology::Topology;
-use crate::traversal::{first_turn, FaceDir};
+use crate::traversal::{closer_crossing, first_turn, FaceDir};
 
 /// Why perimeter forwarding could not produce a next hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,21 +130,14 @@ pub fn perimeter_next_hop(
     // at a point closer to the destination, hop to the adjacent face by
     // advancing to the next edge counterclockwise.
     for _ in 0..=neighbors.len() {
-        let edge = Segment::new(x, topo.pos(candidate));
-        let line = Segment::new(state.face_entry, state.dest);
-        if edge.properly_crosses(&line) {
-            if let Some(i) = edge.line_intersection(&line) {
-                if i.dist(state.dest) < state.face_entry.dist(state.dest) - gmp_geom::EPS {
-                    state.face_entry = i;
-                    state.first_edge = None;
-                    let new_ref = topo.pos(candidate) - x;
-                    candidate = first_turn(topo, x, neighbors, new_ref, FaceDir::Ccw, true)
-                        .ok_or(FaceRoutingError::Stuck)?;
-                    continue;
-                }
-            }
-        }
-        break;
+        let Some(at) = closer_crossing(x, topo.pos(candidate), state.face_entry, state.dest) else {
+            break;
+        };
+        state.face_entry = at;
+        state.first_edge = None;
+        let new_ref = topo.pos(candidate) - x;
+        candidate = first_turn(topo, x, neighbors, new_ref, FaceDir::Ccw, true)
+            .ok_or(FaceRoutingError::Stuck)?;
     }
 
     let edge = (current, candidate);

@@ -222,7 +222,7 @@ impl FaceWalk {
                 FacePhase::Seek => {
                     let Some(best) = self.best else {
                         // Unreachable via begin/next; possible only for a
-                        // hand-built (e.g. wire-decoded) state.
+                        // hand-built state.
                         return Err(FaceRoutingError::Stuck);
                     };
                     if edge == best.edge {
@@ -254,26 +254,38 @@ impl FaceWalk {
     /// the anchor–destination segment strictly closer to the destination
     /// than both the anchor and any crossing recorded so far.
     fn consider(&mut self, tail: Point, head: Point, edge: (NodeId, NodeId), dest: Point) {
-        let seg = Segment::new(tail, head);
-        let line = Segment::new(self.anchor, dest);
-        if !seg.properly_crosses(&line) {
-            return;
-        }
-        let Some(at) = seg.line_intersection(&line) else {
+        let Some(at) = closer_crossing(tail, head, self.anchor, dest) else {
             return;
         };
-        let d = at.dist(dest);
-        if d >= self.anchor.dist(dest) - gmp_geom::EPS {
-            return;
-        }
         let better = match self.best {
-            Some(b) => d < b.at.dist(dest),
+            Some(b) => at.dist(dest) < b.at.dist(dest),
             None => true,
         };
         if better {
             self.best = Some(Crossing { edge, at });
         }
     }
+}
+
+/// Where the edge `tail`–`head` properly crosses the segment from
+/// `anchor` to `dest`, if that point is more than
+/// [`EPS`](gmp_geom::EPS) closer to `dest` than `anchor` is: the
+/// face-change test of both GPSR's perimeter mode
+/// ([`crate::face::perimeter_next_hop`], anchored at the face entry) and
+/// FACE-1's scan.
+pub(crate) fn closer_crossing(
+    tail: Point,
+    head: Point,
+    anchor: Point,
+    dest: Point,
+) -> Option<Point> {
+    let edge = Segment::new(tail, head);
+    let line = Segment::new(anchor, dest);
+    if !edge.properly_crosses(&line) {
+        return None;
+    }
+    let at = edge.line_intersection(&line)?;
+    (at.dist(dest) < anchor.dist(dest) - gmp_geom::EPS).then_some(at)
 }
 
 /// The neighbor whose edge is first in `dir`'s turning order from
