@@ -243,11 +243,9 @@ impl ServiceWorkload {
             let g = rng.gen_range(0..params.groups);
             timeline.push((t, i, ChurnKind::Random(g)));
         }
-        let mut idx = params.churn_updates;
-        for crash in &plan.crashes {
+        for (idx, crash) in (params.churn_updates..).zip(&plan.crashes) {
             let detect = crash.at_s.max(params.crash_detect_s);
             timeline.push((detect, idx, ChurnKind::CrashLeave(crash.node)));
-            idx += 1;
         }
         timeline.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
