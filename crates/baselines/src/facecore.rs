@@ -21,7 +21,7 @@
 //! gives up; the delivery-guarantee oracle then classifies the failure as
 //! justified (`Disconnected`/`DestDead`). The guarantee-certificate
 //! proptests in `gmp-bench` hold both protocols to *zero unjustified*
-//! failures on any connected topology under crash/blackout plans.
+//! failures on any connected topology under crash plans.
 
 use gmp_net::traversal::{FaceDir, FaceScratch, FaceWalk};
 use gmp_net::NodeId;

@@ -16,7 +16,7 @@
 //!
 //! The remaining tests pin the properties the campaigns lean on:
 //! bit-identical reports across repeat runs (scratch reuse is pure), an
-//! inert timed event flipping the runner into liveness-mask mode without
+//! inert timed crash flipping the runner into liveness-mask mode without
 //! changing a single bit (the live-filtered planarization parity
 //! contract), and session-engine runs matching solo replays (MCFR/GVG
 //! are safe to multiplex).
@@ -132,7 +132,7 @@ proptest! {
     }
 }
 
-/// A timed event aimed past the topology compiles to nothing, but its
+/// A timed crash aimed past the topology compiles to nothing, but its
 /// presence flips the runner into liveness-mask mode (`ctx.alive` becomes
 /// `Some(all-true)`). The reports must not move by a single bit: this
 /// pins the contract that the live-filtered planarization and greedy

@@ -6,45 +6,32 @@ use gmp_net::{NodeId, Topology};
 use crate::cause::{FailedDest, FailureCause};
 use crate::plan::{Crash, FaultPlan};
 
-/// A [`FaultPlan`]'s crashes compiled against one topology: the nodes
-/// down from the start, the later crashes in time order, and the union of
-/// both for the oracle.
+/// A [`FaultPlan`]'s crashes compiled against one topology: the crashes
+/// in time order, and every node one of them kills, for the oracle.
 #[derive(Debug, Default)]
 struct CompiledPlan {
-    /// Nodes down at `t = 0` (crashes at time zero).
-    down_at_start: Vec<bool>,
+    /// Crashes of nodes in the topology, sorted by time (ties broken by
+    /// node id).
+    crashes: Vec<Crash>,
     /// Nodes that crash at any point of the run — the oracle's
     /// pessimistic liveness mask.
     ever_down: Vec<bool>,
-    /// Crashes after `t = 0`, sorted by time (ties broken by node id).
-    later: Vec<Crash>,
 }
 
 impl CompiledPlan {
     fn compile(&mut self, plan: &FaultPlan, topo: &Topology) {
-        let n = topo.len();
-        self.down_at_start.clear();
-        self.down_at_start.resize(n, false);
-        self.ever_down.clear();
-        self.ever_down.resize(n, false);
-        self.later.clear();
-
-        for &crash in &plan.crashes {
-            // Plans may be written for a larger network; crashes aimed
-            // past the topology are inert.
-            let i = crash.node.index();
-            if i >= n {
-                continue;
-            }
-            if crash.at_s <= 0.0 {
-                self.down_at_start[i] = true;
-            } else {
-                self.later.push(crash);
-            }
-            self.ever_down[i] = true;
-        }
-        self.later
+        // Plans may be written for a larger network; crashes aimed past
+        // the topology are inert.
+        self.crashes.clear();
+        self.crashes
+            .extend(plan.crashes.iter().filter(|c| c.node.index() < topo.len()));
+        self.crashes
             .sort_by(|a, b| a.at_s.total_cmp(&b.at_s).then(a.node.cmp(&b.node)));
+        self.ever_down.clear();
+        self.ever_down.resize(topo.len(), false);
+        for crash in &self.crashes {
+            self.ever_down[crash.node.index()] = true;
+        }
     }
 }
 
@@ -67,7 +54,7 @@ pub struct FaultScratch {
     /// Id of the topology `compiled` was built against; `None` until the
     /// first compile.
     compiled_topo: Option<u64>,
-    /// Next crash to apply (index into `compiled.later`).
+    /// Next crash to apply (index into `compiled.crashes`).
     cursor: usize,
     /// Oracle search state.
     reach: Vec<bool>,
@@ -103,17 +90,13 @@ impl FaultScratch {
             self.compiled_topo = Some(topo.id());
         }
         self.cursor = 0;
-        for (i, a) in alive.iter_mut().enumerate() {
-            if self.compiled.down_at_start[i] && NodeId(i as u32) != source {
-                *a = false;
-            }
-        }
+        self.advance_to(0.0, source, alive);
     }
 
     /// Applies every crash at or before `now` to `alive`. Amortized O(1)
     /// per event-loop iteration (a cursor over the sorted crash list).
     pub fn advance_to(&mut self, now: f64, source: NodeId, alive: &mut [bool]) {
-        while let Some(crash) = self.compiled.later.get(self.cursor) {
+        while let Some(crash) = self.compiled.crashes.get(self.cursor) {
             if crash.at_s > now {
                 break;
             }

@@ -22,11 +22,9 @@ pub struct NodeContext<'a> {
     /// Simulation parameters (radio range, planar kind, hop cap).
     pub config: &'a SimConfig,
     /// Per-node liveness under the active fault plan, indexable by
-    /// [`NodeId::index`]. `None` when the run has no timed fault events —
+    /// [`NodeId::index`]. `None` when the run has no timed crashes —
     /// in a real deployment this view is what neighbor-table beacon
     /// timeouts provide, so consulting it is *not* a reproduction bug.
-    /// Duty-cycle sleep is intentionally not reflected here (beaconing
-    /// cannot track sub-second sleep windows).
     pub alive: Option<&'a [bool]>,
 }
 
@@ -64,7 +62,7 @@ impl<'a> NodeContext<'a> {
     }
 
     /// Whether `id` is currently believed alive. Always `true` in runs
-    /// without timed fault events (`alive` is `None`).
+    /// without timed crashes (`alive` is `None`).
     pub fn is_alive(&self, id: NodeId) -> bool {
         self.alive.is_none_or(|a| a[id.index()])
     }
