@@ -56,7 +56,9 @@ impl FaceMulticast {
         out: &mut Vec<Forward>,
     ) {
         match &packet.state {
-            RoutingState::Face { dir, walk } => self.face_agent(ctx, &packet, *dir, *walk, out),
+            RoutingState::Face { dir, walk } => {
+                self.face_agent(ctx, &packet, *dir, walk.as_deref().copied(), out)
+            }
             _ => self.spread(ctx, &packet, out),
         }
     }
@@ -117,7 +119,7 @@ impl FaceMulticast {
                         vec![d],
                         RoutingState::Face {
                             dir,
-                            walk: Some(walk),
+                            walk: Some(Box::new(walk)),
                         },
                     ),
                 });
@@ -164,7 +166,13 @@ impl FaceMulticast {
                 ) {
                     out.push(Forward {
                         next_hop,
-                        packet: packet.split(vec![d], RoutingState::Face { dir, walk: Some(w) }),
+                        packet: packet.split(
+                            vec![d],
+                            RoutingState::Face {
+                                dir,
+                                walk: Some(Box::new(w)),
+                            },
+                        ),
                     });
                 }
                 return;
@@ -190,7 +198,13 @@ impl FaceMulticast {
                 ) {
                     out.push(Forward {
                         next_hop,
-                        packet: packet.split(vec![d], RoutingState::Face { dir, walk: Some(w) }),
+                        packet: packet.split(
+                            vec![d],
+                            RoutingState::Face {
+                                dir,
+                                walk: Some(Box::new(w)),
+                            },
+                        ),
                     });
                 }
             }

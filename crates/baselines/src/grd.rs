@@ -27,8 +27,8 @@ impl GrdRouter {
         let target = ctx.pos_of(dest);
         // Perimeter recovery exit: resume greedy once we are closer to the
         // destination than the point where the packet entered the mode.
-        let mut perimeter = match packet.state {
-            RoutingState::Perimeter(p) if !p.closer_than_entry(ctx.pos()) => Some(p),
+        let mut perimeter = match &packet.state {
+            RoutingState::Perimeter(p) if !p.closer_than_entry(ctx.pos()) => Some(**p),
             _ => None,
         };
         let next_hop = if perimeter.is_none() {
@@ -53,7 +53,7 @@ impl GrdRouter {
         };
         Some(Forward {
             next_hop,
-            packet: packet.split(vec![dest], RoutingState::Perimeter(perimeter?)),
+            packet: packet.split(vec![dest], RoutingState::Perimeter(Box::new(perimeter?))),
         })
     }
 }

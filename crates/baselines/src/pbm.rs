@@ -226,21 +226,19 @@ impl Protocol for PbmRouter {
     fn on_packet(
         &mut self,
         ctx: &NodeContext<'_>,
-        packet: MulticastPacket,
+        mut packet: MulticastPacket,
         out: &mut Vec<Forward>,
     ) {
         let here = ctx.pos();
 
         // Perimeter packets stay in perimeter mode until the GPSR exit
         // test passes; then the destinations re-enter normal routing.
-        if let RoutingState::Perimeter(state) = packet.state {
+        if let RoutingState::Perimeter(state) = &mut packet.state {
             if !state.closer_than_entry(here) {
-                let mut state = state;
-                if let Ok(n) = perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, &mut state)
-                {
+                if let Ok(n) = perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, state) {
                     out.push(Forward {
                         next_hop: n,
-                        packet: packet.split(packet.dests.clone(), RoutingState::Perimeter(state)),
+                        packet,
                     });
                 }
                 return;
@@ -282,7 +280,7 @@ impl Protocol for PbmRouter {
             if let Ok(n) = perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, &mut state) {
                 out.push(Forward {
                     next_hop: n,
-                    packet: packet.split(unassigned, RoutingState::Perimeter(state)),
+                    packet: packet.split(unassigned, RoutingState::Perimeter(Box::new(state))),
                 });
             }
         }

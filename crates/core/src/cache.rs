@@ -591,11 +591,11 @@ struct PublishedEntry {
 ///
 /// The table is a fixed power-of-two array of `OnceLock` slots, each
 /// holding at most one immutable published decision. A lookup probes the
-/// [`WAYS`]-slot window starting at the fingerprint's bucket; reading a
-/// slot is [`OnceLock::get`] — one atomic load on the hot path, no lock,
-/// no bus traffic beyond the counters. A miss computes the decision in
-/// the caller's scratch (exactly as the private cache would) and then
-/// *publishes* it into the first empty slot in the window via
+/// window of `WAYS` (four) slots starting at the fingerprint's bucket;
+/// reading a slot is [`OnceLock::get`] — one atomic load on the hot path,
+/// no lock, no bus traffic beyond the counters. A miss computes the
+/// decision in the caller's scratch (exactly as the private cache would)
+/// and then *publishes* it into the first empty slot in the window via
 /// [`OnceLock::set`]; the first writer wins and entries are never
 /// mutated or evicted afterwards. Stats are relaxed atomics.
 ///

@@ -182,7 +182,10 @@ fn emit(
     match perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, &mut state) {
         Ok(next_hop) => out.push(Forward {
             next_hop,
-            packet: packet.split(grouping.voids.as_slice(), RoutingState::Perimeter(state)),
+            packet: packet.split(
+                grouping.voids.as_slice(),
+                RoutingState::Perimeter(Box::new(state)),
+            ),
         }),
         Err(_) => {
             // Unreachable void destinations: the copy dies here and the
@@ -208,7 +211,7 @@ impl Protocol for GmpRouter {
     ) {
         debug_assert!(!packet.dests.is_empty());
         let prior = match &packet.state {
-            RoutingState::Perimeter(p) => Some(*p),
+            RoutingState::Perimeter(p) => Some(**p),
             _ => None,
         };
         // Step 4 of the Section 4.1 perimeter procedure: every receiving

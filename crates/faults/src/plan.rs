@@ -49,11 +49,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// `true` when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.node_failure_prob == 0.0 && self.link_loss_prob == 0.0 && self.crashes.is_empty()
-    }
-
     /// `true` when the plan carries timed crashes (the part that needs
     /// compilation and a liveness timeline, as opposed to the Bernoulli
     /// knobs the runner samples inline).
@@ -153,7 +148,6 @@ mod tests {
     #[test]
     fn empty_plan_is_empty_and_inert() {
         let plan = FaultPlan::none();
-        assert!(plan.is_empty());
         assert!(!plan.has_crashes());
         let mut rng = StdRng::seed_from_u64(1);
         let mut alive = vec![true; 8];

@@ -23,8 +23,10 @@ pub enum RoutingState {
     #[default]
     Greedy,
     /// GPSR-style perimeter mode (the paper's PERIMODE flag plus the
-    /// associated face-routing state).
-    Perimeter(PerimeterState),
+    /// associated face-routing state). Boxed, like the face walk below:
+    /// greedy copies, which are nearly all of them, then move a 16-byte
+    /// state instead of reserving room for the rare large ones.
+    Perimeter(Box<PerimeterState>),
     /// A unicast leg toward a subtree root: intermediate nodes forward
     /// greedily to `target` without re-partitioning (LGS legs, GRD).
     UnicastLeg {
@@ -43,7 +45,7 @@ pub enum RoutingState {
         /// Traversal orientation this agent is committed to.
         dir: FaceDir,
         /// The in-progress FACE-1 walk, if any.
-        walk: Option<FaceWalk>,
+        walk: Option<Box<FaceWalk>>,
     },
 }
 
@@ -54,8 +56,8 @@ const INLINE_DESTS: usize = 6;
 
 /// The destination list of a packet.
 ///
-/// A short list (up to [`INLINE_DESTS`] ids) lives inline, so building a
-/// copy for a small group or cloning one copies a few bytes and
+/// A short list (up to six ids, `INLINE_DESTS`) lives inline, so building
+/// a copy for a small group or cloning one copies a few bytes and
 /// allocates nothing. A longer list is an `Arc<Vec<_>>`: retransmissions
 /// and event-queue moves copy packets far more often than anything edits
 /// their destinations, so cloning bumps a reference count instead of
@@ -234,7 +236,9 @@ impl MulticastPacket {
             // Direction, then the walk: start distance, anchor, phase,
             // first edge, predecessor and the best crossing (edge, point).
             RoutingState::Face { walk, .. } => {
-                1 + opt(walk.map(|w| 8 + POINT + 1 + 3 * ID + opt(w.best.map(|_| 2 * ID + POINT))))
+                1 + opt(walk
+                    .as_ref()
+                    .map(|w| 8 + POINT + 1 + 3 * ID + opt(w.best.map(|_| 2 * ID + POINT))))
             }
             // A node count, then per node its id, a child count and the
             // children.
@@ -312,21 +316,23 @@ mod tests {
     fn encoded_len_pins_every_state_shape() {
         let size = |p: &MulticastPacket| p.encoded_len();
         let perimeter = |first_edge, prev| {
-            RoutingState::Perimeter(PerimeterState {
+            RoutingState::Perimeter(Box::new(PerimeterState {
                 dest: Point::new(1.0, 2.0),
                 entry: Point::new(3.0, 4.0),
                 face_entry: Point::new(5.0, 6.0),
                 first_edge,
                 prev,
-            })
+            }))
         };
-        let walk = |phase, best| FaceWalk {
-            start_dist: 42.5,
-            anchor: Point::new(7.0, 8.0),
-            phase,
-            first: (NodeId(2), NodeId(3)),
-            prev: NodeId(5),
-            best,
+        let walk = |phase, best| {
+            Box::new(FaceWalk {
+                start_dist: 42.5,
+                anchor: Point::new(7.0, 8.0),
+                phase,
+                first: (NodeId(2), NodeId(3)),
+                prev: NodeId(5),
+                best,
+            })
         };
         let mut tree = HashMap::new();
         tree.insert(NodeId(0), vec![NodeId(1), NodeId(2)]);

@@ -6,10 +6,10 @@
 //! carry that:
 //!
 //! * **Pruned collision bookkeeping.** Past transmissions are kept in
-//!   [`OnAir`], a min-heap ordered by the time each transmission leaves the
+//!   `OnAir`, a min-heap ordered by the time each transmission leaves the
 //!   air. A transmission can only destroy a reception whose airtime
 //!   overlaps it, and every pending or future reception starts no earlier
-//!   than `now − max_airtime` (see [`OnAir::prune`]), so entries older than
+//!   than `now − max_airtime` (see `OnAir::prune`), so entries older than
 //!   that are popped for good instead of being rescanned on every delivery
 //!   — the seed kept every transmission forever, making collision checks
 //!   O(total transmissions) each.
@@ -263,6 +263,32 @@ impl<'a> TaskRunner<'a> {
         })
     }
 
+    /// What one transmission of `packet` from `from` to `to` costs: its
+    /// size in bytes, the number of nodes that overhear it, and the link
+    /// length. A link-layer retransmission costs what the first
+    /// transmission of the same copy cost. Inlined: `transmit_jittered`
+    /// calls it for every copy it sends.
+    #[inline(always)]
+    fn copy_cost(&self, from: NodeId, to: NodeId, packet: &MulticastPacket) -> (usize, usize, f64) {
+        let bytes = if self.config.size_dependent_airtime {
+            packet.encoded_len()
+        } else {
+            self.config.message_bytes
+        };
+        let link_m = self.topo.pos(from).dist(self.topo.pos(to));
+        // Under power control only nodes within the (reduced) radius
+        // overhear the transmission; the cutoff is a binary search in
+        // the distance-sorted neighbor list instead of an O(degree)
+        // filter.
+        let listeners = if self.config.power_control.is_some() {
+            let dists = self.topo.neighbor_distances(from);
+            dists.partition_point(|&d| d <= link_m + gmp_geom::EPS)
+        } else {
+            self.topo.neighbors(from).len()
+        };
+        (bytes, listeners, link_m)
+    }
+
     /// Applies hop caps, accounts energy/bytes, and schedules deliveries
     /// for the copies a protocol decided to send from `sender` (drained
     /// from the shared forward buffer), with the configured carrier-sense
@@ -294,22 +320,7 @@ impl<'a> TaskRunner<'a> {
                 record_drop(&fwd.packet.dests, pending, drop_cause, FailureCause::HopCap);
                 continue;
             }
-            let bytes = if self.config.size_dependent_airtime {
-                fwd.packet.encoded_len()
-            } else {
-                self.config.message_bytes
-            };
-            let link_m = self.topo.pos(sender).dist(self.topo.pos(fwd.next_hop));
-            // Under power control only nodes within the (reduced) radius
-            // overhear the transmission; the cutoff is a binary search in
-            // the distance-sorted neighbor list instead of an O(degree)
-            // filter.
-            let listeners = if self.config.power_control.is_some() {
-                let dists = self.topo.neighbor_distances(sender);
-                dists.partition_point(|&d| d <= link_m + gmp_geom::EPS)
-            } else {
-                self.topo.neighbors(sender).len()
-            };
+            let (bytes, listeners, link_m) = self.copy_cost(sender, fwd.next_hop, &fwd.packet);
             report.transmissions += 1;
             report.bytes_transmitted += bytes;
             log.push(sender, fwd.next_hop, queue.now());
@@ -629,12 +640,10 @@ impl<'a> Session<'a> {
                     } else {
                         airtime
                     };
-                    let link_m = topo.pos(from).dist(topo.pos(to));
-                    let listeners = topo.neighbors(from).len();
+                    let (bytes, listeners, link_m) = runner.copy_cost(from, to, &packet);
                     report.transmissions += 1;
-                    report.bytes_transmitted += config.message_bytes;
-                    report.energy_j +=
-                        energy.transmission_energy(config.message_bytes, listeners, link_m);
+                    report.bytes_transmitted += bytes;
+                    report.energy_j += energy.transmission_energy(bytes, listeners, link_m);
                     let resend_at = time + backoff;
                     log.push(from, to, resend_at);
                     on_air.push(resend_at, resend_at + airtime, from);
@@ -1098,6 +1107,66 @@ mod tests {
         assert_eq!(report.transmissions, 10);
         assert_eq!(report.dropped_packets, 2);
         assert!(!report.truncated);
+    }
+
+    #[test]
+    fn retransmissions_charge_the_copy_size() {
+        // CrossFire's bounces collide in every round, as above. Under
+        // size-dependent airtime a bounce carries one destination entry,
+        // so each of its three retransmissions pays the 41 bytes its first
+        // transmission paid, not the fixed 128.
+        let positions = vec![
+            Point::new(0.0, 0.0),
+            Point::new(8.0, 0.0),
+            Point::new(16.0, 0.0),
+        ];
+        let topo = Topology::from_positions(positions, Aabb::square(100.0), 12.0);
+        let config = line_config()
+            .with_collisions(true)
+            .with_retransmissions(3)
+            .with_size_dependent_airtime(true);
+        let task = MulticastTask::new(NodeId(1), vec![NodeId(0), NodeId(2)]);
+        let report = TaskRunner::new(&topo, &config).run(&mut CrossFire, &task);
+        assert_eq!(report.transmissions, 10);
+        assert_eq!(report.dropped_packets, 2);
+        let (outbound, bounce) = (61, 41);
+        assert_eq!(report.bytes_transmitted, 2 * outbound + 8 * bounce);
+        let energy = EnergyModel::from_config(&config);
+        let want = 2.0 * energy.transmission_energy(outbound, 2, 8.0)
+            + 8.0 * energy.transmission_energy(bounce, 1, 8.0);
+        assert!((report.energy_j - want).abs() < 1e-12, "{report:?}");
+    }
+
+    #[test]
+    fn retransmissions_count_the_power_controlled_listeners() {
+        // CrossFire with one more node behind each bouncing node, 10 m
+        // away: a full-power transmission reaches it, but a bounce's 8 m
+        // link reaches only n1. Under power control every transmission of
+        // a bounce, retries included, has that one listener.
+        let positions = vec![
+            Point::new(10.0, 0.0),
+            Point::new(18.0, 0.0),
+            Point::new(26.0, 0.0),
+            Point::new(0.0, 0.0),
+            Point::new(36.0, 0.0),
+        ];
+        let topo = Topology::from_positions(positions, Aabb::square(100.0), 12.0);
+        let config = line_config()
+            .with_collisions(true)
+            .with_retransmissions(3)
+            .with_power_control(crate::config::PowerControl {
+                alpha: 2.0,
+                overhead_w: 0.1,
+            });
+        let task = MulticastTask::new(NodeId(1), vec![NodeId(0), NodeId(2)]);
+        let report = TaskRunner::new(&topo, &config).run(&mut CrossFire, &task);
+        assert_eq!(report.transmissions, 10);
+        assert_eq!(report.dropped_packets, 2);
+        assert_eq!(report.bytes_transmitted, 10 * 128);
+        let energy = EnergyModel::from_config(&config);
+        let want = 2.0 * energy.transmission_energy(128, 2, 8.0)
+            + 8.0 * energy.transmission_energy(128, 1, 8.0);
+        assert!((report.energy_j - want).abs() < 1e-12, "{report:?}");
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! gmp render SCENARIO.txt OUT.svg [--task N --protocol gmp]
 //! ```
 //!
+//! `run` and `render` apply the scenario's fault plan, seeding task `i`'s
+//! failure injection with `i`: each task draws its own `fault bernoulli`
+//! sample, and `render --task i` redraws what `run` drew for row `i`.
+//!
 //! The command logic lives in [`run_cli`] (taking arguments and returning
 //! the report text) so integration tests can drive it without spawning a
 //! process.
@@ -192,7 +196,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, String> {
     let mut failures = 0usize;
     for (i, task) in scenario.tasks.iter().enumerate() {
         let mut proto = kind.build();
-        let report = runner.run(proto.as_mut(), task);
+        let report = runner.run_seeded(proto.as_mut(), task, i as u64);
         total_hops += report.transmissions;
         if !report.delivered_all() {
             failures += 1;
@@ -233,7 +237,7 @@ fn cmd_render(mut args: Vec<String>) -> Result<String, String> {
         .ok_or_else(|| format!("scenario has no task {task_idx}"))?;
     let config = scenario_config(&scenario, &topo);
     let mut proto = kind.build();
-    let report = TaskRunner::new(&topo, &config).run(proto.as_mut(), task);
+    let report = TaskRunner::new(&topo, &config).run_seeded(proto.as_mut(), task, task_idx as u64);
     let mut scene = SvgScene::new(topo.area());
     for node in topo.nodes() {
         scene.circle(node.pos, 1.5, "#cccccc");
@@ -350,6 +354,57 @@ mod tests {
         assert!(faulted.contains("1 failed task(s)"), "{faulted}");
         let render = run_cli(&s(&["render", &scenario_path, &svg_path])).unwrap();
         assert!(render.contains("5/6 delivered"), "{render}");
+    }
+
+    #[test]
+    fn each_task_draws_its_own_bernoulli_faults() {
+        // One task listed three times under `fault bernoulli 0.3 0`: the
+        // failure seed is the task's index, so the rows differ, and
+        // `render --task i` redraws what `run` drew for row i.
+        let scenario_path = tmp("bernoulli.txt");
+        let svg_path = tmp("bernoulli.svg");
+        run_cli(&s(&[
+            "generate",
+            "--nodes",
+            "200",
+            "--area",
+            "600",
+            "--seed",
+            "3",
+            "--tasks",
+            "1",
+            "--k",
+            "6",
+            &scenario_path,
+        ]))
+        .unwrap();
+        let mut scenario = Scenario::load(std::path::Path::new(&scenario_path)).unwrap();
+        scenario.tasks = vec![scenario.tasks[0].clone(); 3];
+        scenario
+            .with_faults(gmp_sim::FaultPlan::none().with_node_failure_prob(0.3))
+            .save(std::path::Path::new(&scenario_path))
+            .unwrap();
+        let run = run_cli(&s(&["run", &scenario_path])).unwrap();
+        let rows: Vec<Vec<&str>> = run
+            .lines()
+            .skip(1)
+            .take(3)
+            .map(|l| l.split_whitespace().skip(1).collect())
+            .collect();
+        assert_eq!(rows.len(), 3, "{run}");
+        assert!(
+            rows[1..].iter().any(|r| *r != rows[0]),
+            "every task drew the same faults: {run}"
+        );
+        for (i, row) in rows.iter().enumerate() {
+            let task = i.to_string();
+            let render = run_cli(&s(&["render", &scenario_path, &svg_path, "--task", &task]));
+            let delivered = row.last().unwrap();
+            assert!(
+                render.unwrap().contains(&format!("{delivered} delivered")),
+                "task {i}: {run}"
+            );
+        }
     }
 
     #[test]
