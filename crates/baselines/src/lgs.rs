@@ -123,7 +123,7 @@ mod tests {
         assert!(report.delivered_all());
         // Chain: hops to the i-th destination is exactly i.
         for i in 1..=4u32 {
-            assert_eq!(report.delivery_hops[&NodeId(i)], i);
+            assert_eq!(report.hops_to(NodeId(i)), Some(i));
         }
         assert_eq!(report.transmissions, 4);
     }

@@ -168,8 +168,8 @@ mod tests {
         let report = TaskRunner::new(&topo, &config).run(&mut SmtRouter::new(), &task);
         assert!(report.delivered_all());
         assert_eq!(report.transmissions, 5);
-        assert_eq!(report.delivery_hops[&NodeId(3)], 3);
-        assert_eq!(report.delivery_hops[&NodeId(5)], 5);
+        assert_eq!(report.hops_to(NodeId(3)), Some(3));
+        assert_eq!(report.hops_to(NodeId(5)), Some(5));
     }
 
     #[test]
@@ -217,6 +217,6 @@ mod tests {
                 gmp_sim::FailureCause::Disconnected
             )]
         );
-        assert!(report.delivery_hops.contains_key(&NodeId(5)));
+        assert!(report.hops_to(NodeId(5)).is_some());
     }
 }

@@ -128,7 +128,7 @@ pub(crate) fn add_path_stretch(
     }
     let alive = initial_alive(&config.faults, config.node_count, task.source);
     let shortest = bfs_hops(topo, &alive, task.source);
-    for (&d, &h) in &report.delivery_hops {
+    for &(d, h) in &report.delivery_hops {
         let s = shortest[d.index()];
         if s > 0 && s != u32::MAX {
             tally.stretch += h as f64 / s as f64;

@@ -92,7 +92,7 @@ fn gmp_hop_cap_failures_at_120_nodes_are_long_walks() {
     for (task, report) in &uncapped {
         assert_eq!(report.unjustified_failures().count(), 0, "{task:?}");
         for (_, dest) in capped.iter().filter(|(t, _)| t == task) {
-            hops.push(report.delivery_hops[dest]);
+            hops.push(report.hops_to(*dest).expect("delivered at cap 4000"));
         }
     }
     hops.sort_unstable();

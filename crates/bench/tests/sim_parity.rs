@@ -4,7 +4,8 @@
 //! on-air list is a `Vec` that is never pruned and rescanned in full for
 //! every collision check, audibility is the exact `dist ≤ rr` comparison,
 //! pending destinations live in a `HashSet`, deliveries insert straight
-//! into the report's `BTreeMap`s, the power-control listener count is an
+//! into `BTreeMap`s (converted to the report's sorted lists once at the
+//! end), the power-control listener count is an
 //! O(degree) distance filter, and every forwarding decision collects into
 //! a fresh `Vec`. The optimized runner replaces all of that machinery —
 //! expiry-ordered pruning heap, neighbor-set audibility fast path, indexed
@@ -18,7 +19,7 @@ use gmp_net::Topology;
 use gmp_sim::{MulticastTask, Protocol, SimConfig, SimScratch, TaskReport, TaskRunner};
 
 mod seed_ref {
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     use gmp_net::{NodeId, Topology};
     use gmp_sim::config::SimConfig;
@@ -63,6 +64,8 @@ mod seed_ref {
             }
 
             let mut pending: HashSet<NodeId> = task.dests.iter().copied().collect();
+            let mut delivery_hops: BTreeMap<NodeId, u32> = BTreeMap::new();
+            let mut delivery_times_s: BTreeMap<NodeId, f64> = BTreeMap::new();
             let mut queue = EventQueue::new();
             let mut events_processed = 0usize;
             let mut on_air: Vec<(f64, f64, NodeId)> = Vec::new();
@@ -150,8 +153,8 @@ mod seed_ref {
                 if packet.dests.contains(&to) {
                     packet.dests.retain(|&d| d != to);
                     if pending.remove(&to) {
-                        report.delivery_hops.insert(to, packet.hops);
-                        report.delivery_times_s.insert(to, time);
+                        delivery_hops.insert(to, packet.hops);
+                        delivery_times_s.insert(to, time);
                         report.completion_time_s = report.completion_time_s.max(time);
                     }
                 }
@@ -169,6 +172,11 @@ mod seed_ref {
                     &mut rng,
                 );
             }
+
+            // The report lists first deliveries in ascending destination
+            // order, which is the maps' iteration order.
+            report.delivery_hops = delivery_hops.into_iter().collect();
+            report.delivery_times_s = delivery_times_s.into_iter().collect();
 
             // The seed predates the guarantee oracle: it only knows *which*
             // destinations failed, not why. The parity harness compares the

@@ -7,8 +7,9 @@
 //! simulator replays whole tasks thousands of times. [`TreeCache`]
 //! exploits that: it memoizes the *outcome* of
 //! [`DecisionScratch::group_destinations_into`] keyed by a fingerprint of
-//! the decision inputs, and serves a stored [`Grouping`] instead of
-//! rebuilding the tree.
+//! the decision inputs, and serves the stored decision in place, as a
+//! [`Decision::Stored`] view of its entry, instead of rebuilding the
+//! tree.
 //!
 //! # Why cached decisions are bit-exact
 //!
@@ -87,8 +88,9 @@
 //! resident entries keep serving hits, and nothing is ever evicted.
 //!
 //! With `GMP_CACHE_PARANOID` set (any value but `0`), every verified hit
-//! *additionally* recomputes the decision and asserts the stored grouping
-//! matches — the belt-and-braces mode the parity tests run under.
+//! *additionally* recomputes the decision into the caller's scratch and
+//! asserts the stored grouping matches before serving it — the
+//! belt-and-braces mode the parity tests run under.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -98,7 +100,7 @@ use std::sync::OnceLock;
 use gmp_geom::Point;
 use gmp_net::{NodeId, Topology};
 
-use crate::grouping::{DecisionScratch, Grouping};
+use crate::grouping::{CoveredGroup, DecisionScratch, Grouping};
 
 /// Tuning knobs for [`TreeCache`] and [`ConcurrentTreeCache`]. These
 /// affect only speed, never outcomes.
@@ -262,6 +264,76 @@ impl CacheEntry {
     }
 }
 
+/// A forwarding decision as a cache lookup returns it: computed into the
+/// caller's scratch, or served in place from a verified entry. Both forms
+/// read as `(next hop, destinations)` groups and a void list, and a
+/// stored decision is bit-identical to what computing it would give.
+#[derive(Debug, Clone, Copy)]
+pub enum Decision<'a> {
+    /// Computed by this lookup, in the caller's [`DecisionScratch`].
+    Computed(&'a Grouping),
+    /// A stored decision, read where the cache keeps it.
+    Stored(StoredGrouping<'a>),
+}
+
+impl<'a> Decision<'a> {
+    /// Each covered group as `(next hop, destinations)`, in grouping order.
+    pub fn covered(self) -> impl Iterator<Item = (NodeId, &'a [NodeId])> {
+        // One iterator type for both forms: exactly one half is present.
+        let (computed, stored) = match self {
+            Decision::Computed(g) => {
+                let pair = |g: &'a CoveredGroup| (g.next_hop, g.dests.as_slice());
+                (Some(g.covered.iter().map(pair)), None)
+            }
+            Decision::Stored(s) => (None, Some(s.covered())),
+        };
+        computed
+            .into_iter()
+            .flatten()
+            .chain(stored.into_iter().flatten())
+    }
+
+    /// The void destinations, sorted.
+    pub fn voids(self) -> &'a [NodeId] {
+        match self {
+            Decision::Computed(g) => &g.voids,
+            Decision::Stored(s) => s.voids(),
+        }
+    }
+
+    /// An owned copy of the decision.
+    pub fn to_grouping(self) -> Grouping {
+        Grouping {
+            covered: self
+                .covered()
+                .map(|(next_hop, dests)| CoveredGroup {
+                    dests: dests.to_vec(),
+                    next_hop,
+                })
+                .collect(),
+            voids: self.voids().to_vec(),
+        }
+    }
+}
+
+/// A verified cache entry's decision, borrowed from the entry.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredGrouping<'a> {
+    entry: &'a CacheEntry,
+}
+
+impl<'a> StoredGrouping<'a> {
+    /// Each covered group as `(next hop, destinations)`, in grouping order.
+    pub fn covered(self) -> impl Iterator<Item = (NodeId, &'a [NodeId])> {
+        self.entry.covered()
+    }
+
+    /// The void destinations, sorted.
+    pub fn voids(self) -> &'a [NodeId] {
+        self.entry.voids()
+    }
+}
+
 /// An offset into an entry's ids. An entry holds each destination at most
 /// twice plus the decision's blockers, far below `u32::MAX` ids for any
 /// topology that fits in memory.
@@ -400,15 +472,16 @@ impl Inputs<'_> {
         ids.extend(scratch.blockers());
     }
 
-    /// Loads `entry`'s grouping into `scratch` — or, in paranoid mode,
-    /// recomputes the decision there and asserts it equals the stored one.
-    fn serve(
+    /// Serves a verified `entry` in place — in paranoid mode only after
+    /// recomputing the decision into `scratch` and asserting it equals the
+    /// stored one.
+    fn serve<'e>(
         &self,
-        entry: &CacheEntry,
+        entry: &'e CacheEntry,
         scratch: &mut DecisionScratch,
         alive: Option<&[bool]>,
         paranoid: bool,
-    ) {
+    ) -> Decision<'e> {
         if paranoid {
             let computed = self.compute(scratch, alive);
             assert!(
@@ -419,9 +492,8 @@ impl Inputs<'_> {
                 computed,
                 entry
             );
-        } else {
-            scratch.load(entry.covered(), entry.voids());
         }
+        Decision::Stored(StoredGrouping { entry })
     }
 }
 
@@ -442,11 +514,12 @@ fn serves_view(entry: &CacheEntry, alive: Option<&[bool]>) -> bool {
 /// tasks, which replay the same decisions thousands of times in the
 /// benchmarks).
 ///
-/// The cache owns no scratch of its own: results are always materialized
-/// into the caller's [`DecisionScratch`], so downstream code (the emit
-/// step, which mutates the grouping in place) is oblivious to whether the
-/// decision was computed or served. Once `config.capacity` decisions are
-/// stored, further misses are computed without being stored.
+/// The cache owns no scratch of its own: a miss computes into the
+/// caller's [`DecisionScratch`], and a hit is served in place from the
+/// stored entry. The returned [`Decision`] reads the same either way, so
+/// downstream code (the emit step) is oblivious to which it got. Once
+/// `config.capacity` decisions are stored, further misses are computed
+/// without being stored.
 #[derive(Debug, Clone)]
 pub struct TreeCache {
     config: CacheConfig,
@@ -513,14 +586,14 @@ impl TreeCache {
     }
 
     /// [`DecisionScratch::group_destinations_into`] through the cache:
-    /// serves a stored grouping when every exact input matches and the
-    /// entry is valid under `alive`, computes it otherwise (storing it
-    /// while the cache has room, or in place of the entry it could not
-    /// serve). The result always lives in `scratch`, bit-identical to what
-    /// the direct call would leave there.
+    /// serves the stored decision in place when every exact input matches
+    /// and the entry is valid under `alive`, computes it into `scratch`
+    /// otherwise (storing it while the cache has room, or in place of the
+    /// entry it could not serve). Either way the decision is bit-identical
+    /// to what the direct call would leave in `scratch`.
     #[allow(clippy::too_many_arguments)]
     pub fn group_destinations_cached<'a>(
-        &mut self,
+        &'a mut self,
         scratch: &'a mut DecisionScratch,
         topo: &Topology,
         node: NodeId,
@@ -528,7 +601,7 @@ impl TreeCache {
         radio_range_aware: bool,
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
-    ) -> &'a Grouping {
+    ) -> Decision<'a> {
         let inputs = Inputs {
             topo,
             node,
@@ -538,6 +611,7 @@ impl TreeCache {
         };
         let fp = inputs.fingerprint();
         let slot = self.map.get(&fp).copied();
+        let mut served = None;
         match slot {
             Some(slot) => {
                 let entry = &self.entries[slot as usize];
@@ -545,13 +619,18 @@ impl TreeCache {
                     self.stats.fallbacks += 1;
                 } else if serves_view(entry, alive) {
                     self.stats.hits += 1;
-                    inputs.serve(entry, scratch, alive, self.config.paranoid);
-                    return scratch.grouping_ref();
+                    served = Some(slot);
                 } else {
                     self.stats.misses += 1;
                 }
             }
             None => self.stats.misses += 1,
+        }
+        if let Some(slot) = served {
+            // The entry is borrowed for the caller only on this path, so
+            // the miss path below may still replace it.
+            let entry = &self.entries[slot as usize];
+            return inputs.serve(entry, scratch, alive, self.config.paranoid);
         }
         inputs.compute(scratch, alive);
         match slot {
@@ -566,7 +645,7 @@ impl TreeCache {
             }
             None => {}
         }
-        scratch.grouping_ref()
+        Decision::Computed(scratch.grouping_ref())
     }
 }
 
@@ -703,7 +782,7 @@ impl ConcurrentTreeCache {
     /// shared reference from any number of threads at once.
     #[allow(clippy::too_many_arguments)]
     pub fn group_destinations_cached<'a>(
-        &self,
+        &'a self,
         scratch: &'a mut DecisionScratch,
         topo: &Topology,
         node: NodeId,
@@ -711,7 +790,7 @@ impl ConcurrentTreeCache {
         radio_range_aware: bool,
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
-    ) -> &'a Grouping {
+    ) -> Decision<'a> {
         let inputs = Inputs {
             topo,
             node,
@@ -734,8 +813,7 @@ impl ConcurrentTreeCache {
                 collided = true;
             } else if serves_view(&published.entry, alive) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                inputs.serve(&published.entry, scratch, alive, self.config.paranoid);
-                return scratch.grouping_ref();
+                return inputs.serve(&published.entry, scratch, alive, self.config.paranoid);
             }
             // Otherwise the same inputs under a view this entry does not
             // serve; a later way may hold one that does.
@@ -786,7 +864,7 @@ impl ConcurrentTreeCache {
                 }
             }
         }
-        scratch.grouping_ref()
+        Decision::Computed(scratch.grouping_ref())
     }
 }
 
@@ -877,14 +955,14 @@ mod tests {
         other_topology_misses(|topo, node, dests| {
             let got = cache
                 .group_destinations_cached(&mut scratch, topo, node, dests, true, None, None)
-                .clone();
+                .to_grouping();
             (got, cache.stats())
         });
         let cache = ConcurrentTreeCache::with_config(CacheConfig::default());
         other_topology_misses(|topo, node, dests| {
             let got = cache
                 .group_destinations_cached(&mut scratch, topo, node, dests, true, None, None)
-                .clone();
+                .to_grouping();
             (got, cache.stats())
         });
     }
@@ -901,7 +979,7 @@ mod tests {
             for _ in 0..3 {
                 let got = cache
                     .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-                    .clone();
+                    .to_grouping();
                 assert_eq!(got, expect, "seed {seed}");
             }
         }
@@ -924,12 +1002,82 @@ mod tests {
         let dests = dests_for(3, &topo, node);
         let a = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         let b = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         assert_eq!(a, b);
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    /// Looks up decision A, then B, then A again through one cache.
+    /// `lookup` returns whether the cache served its stored form, with the
+    /// decision as an owned grouping. The third lookup must be A's stored
+    /// entry, equal to A computed directly. A plain hit only reads the
+    /// entry, so the scratch still holds B; a paranoid one recomputes A
+    /// into the scratch first.
+    fn second_lookup_is_stored(
+        paranoid: bool,
+        mut lookup: impl FnMut(&mut DecisionScratch, &Topology, NodeId, &[NodeId]) -> (bool, Grouping),
+    ) {
+        let topo = topo();
+        let (a, b) = (NodeId(17), NodeId(42));
+        let (a_dests, b_dests) = (dests_for(3, &topo, a), dests_for(7, &topo, b));
+        let expect_a = group_destinations(&topo, a, &a_dests, true, None);
+        let expect_b = group_destinations(&topo, b, &b_dests, true, None);
+        assert_ne!(expect_a, expect_b);
+        let mut scratch = DecisionScratch::new();
+        let computed = lookup(&mut scratch, &topo, a, &a_dests);
+        assert_eq!(computed, (false, expect_a.clone()));
+        let computed = lookup(&mut scratch, &topo, b, &b_dests);
+        assert_eq!(computed, (false, expect_b.clone()));
+        let stored = lookup(&mut scratch, &topo, a, &a_dests);
+        assert_eq!(stored, (true, expect_a.clone()), "paranoid {paranoid}");
+        let left = if paranoid { &expect_a } else { &expect_b };
+        assert_eq!(scratch.grouping_ref(), left, "paranoid {paranoid}");
+    }
+
+    #[test]
+    fn hits_serve_the_stored_entry_in_place() {
+        let stored = |d: Decision<'_>| (matches!(d, Decision::Stored(_)), d.to_grouping());
+        for paranoid in [false, true] {
+            let config = CacheConfig {
+                paranoid,
+                ..CacheConfig::default()
+            };
+            let mut cache = TreeCache::with_config(config);
+            second_lookup_is_stored(paranoid, |scratch, topo, node, dests| {
+                stored(
+                    cache.group_destinations_cached(scratch, topo, node, dests, true, None, None),
+                )
+            });
+            let cache = ConcurrentTreeCache::with_config(config);
+            second_lookup_is_stored(paranoid, |scratch, topo, node, dests| {
+                stored(
+                    cache.group_destinations_cached(scratch, topo, node, dests, true, None, None),
+                )
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "paranoid cache check failed")]
+    fn paranoid_hit_rejects_a_corrupted_entry() {
+        let topo = topo();
+        let mut cache = TreeCache::with_config(CacheConfig {
+            paranoid: true,
+            ..CacheConfig::default()
+        });
+        let mut scratch = DecisionScratch::new();
+        let node = NodeId(17);
+        let dests = dests_for(3, &topo, node);
+        cache.group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None);
+        // Another next hop: the entry still matches its inputs and, with
+        // no view, has no blocker to refuse it, so only the recomputation
+        // can tell.
+        let hop = &mut cache.entries[0].groups[0].0;
+        *hop = NodeId(hop.0 + 1);
+        cache.group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None);
     }
 
     #[test]
@@ -957,10 +1105,10 @@ mod tests {
                 None,
                 Some(&all_alive),
             )
-            .clone();
+            .to_grouping();
         let none_view = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         assert_eq!(warm, none_view);
         assert_eq!(cache.stats().hits, 1);
 
@@ -974,7 +1122,7 @@ mod tests {
                 None,
                 Some(&some_dead),
             )
-            .clone();
+            .to_grouping();
         assert_eq!(
             dead_view,
             {
@@ -997,7 +1145,7 @@ mod tests {
         // original view is recomputed too, and replaces it back.
         let again = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         assert_eq!(again, warm);
         assert_eq!(counts(&cache), (1, 3, 0, 1));
 
@@ -1019,7 +1167,7 @@ mod tests {
                     None,
                     Some(view),
                 )
-                .clone();
+                .to_grouping();
             assert_eq!(&got, expect);
         }
         assert_eq!(
@@ -1043,7 +1191,7 @@ mod tests {
                 let dests = dests_for(seed, &topo, node);
                 let got = cache
                     .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-                    .clone();
+                    .to_grouping();
                 let expect = group_destinations(&topo, node, &dests, true, None);
                 assert_eq!(got, expect, "round {round} seed {seed}");
             }
@@ -1072,10 +1220,10 @@ mod tests {
         let entry = Some(Point::new(10.0, 20.0));
         let plain = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         let perim = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, entry, None)
-            .clone();
+            .to_grouping();
         assert_eq!(plain, group_destinations(&topo, node, &dests, true, None));
         assert_eq!(perim, group_destinations(&topo, node, &dests, true, entry));
         assert_eq!(cache.stats().misses, 2);
@@ -1113,7 +1261,7 @@ mod tests {
             for _ in 0..3 {
                 let got = cache
                     .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-                    .clone();
+                    .to_grouping();
                 assert_eq!(got, expect, "seed {seed}");
             }
         }
@@ -1156,7 +1304,7 @@ mod tests {
                                     None,
                                     None,
                                 )
-                                .clone();
+                                .to_grouping();
                             let expect = group_destinations(topo, node, &dests, true, None);
                             assert_eq!(got, expect, "worker {worker} seed {seed}");
                         }
@@ -1204,10 +1352,10 @@ mod tests {
                 None,
                 Some(&all_alive),
             )
-            .clone();
+            .to_grouping();
         let none_view = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         assert_eq!(warm, none_view, "an entry without blockers serves `None`");
         assert_eq!(cache.stats().hits, 1);
 
@@ -1221,7 +1369,7 @@ mod tests {
                 None,
                 Some(&some_dead),
             )
-            .clone();
+            .to_grouping();
         let expect_dead = {
             let mut s = DecisionScratch::new();
             s.group_destinations_into(&topo, node, &dests, true, None, Some(&some_dead));
@@ -1234,7 +1382,7 @@ mod tests {
         // own view.
         let again_alive = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         assert_eq!(again_alive, warm);
         let again_dead = cache
             .group_destinations_cached(
@@ -1246,7 +1394,7 @@ mod tests {
                 None,
                 Some(&some_dead),
             )
-            .clone();
+            .to_grouping();
         assert_eq!(again_dead, expect_dead);
         assert_eq!(cache.stats().hits, 3);
 
@@ -1270,7 +1418,7 @@ mod tests {
                         None,
                         Some(view),
                     )
-                    .clone();
+                    .to_grouping();
                 assert_eq!(&got, expect, "round {round}");
             }
         }
@@ -1299,10 +1447,10 @@ mod tests {
         let dests = dests_for(3, &topo, node);
         let a = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         let b = cache
             .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
+            .to_grouping();
         assert_eq!(a, b);
         assert_eq!(cache.stats().hits, 1);
     }
@@ -1325,7 +1473,7 @@ mod tests {
                 let dests = dests_for(seed, &topo, node);
                 let got = cache
                     .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-                    .clone();
+                    .to_grouping();
                 let expect = group_destinations(&topo, node, &dests, true, None);
                 assert_eq!(got, expect, "round {round} seed {seed}");
             }

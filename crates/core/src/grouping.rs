@@ -179,13 +179,7 @@ impl DecisionScratch {
         &self.grouping
     }
 
-    /// Mutable access to the last decision, for the emit step (which
-    /// merges groups in place).
-    pub(crate) fn grouping_mut(&mut self) -> &mut Grouping {
-        &mut self.grouping
-    }
-
-    /// Read access to the last decision, for the cache's store path.
+    /// Read access to the last decision, for the cache.
     pub(crate) fn grouping_ref(&self) -> &Grouping {
         &self.grouping
     }
@@ -196,27 +190,6 @@ impl DecisionScratch {
     /// alive and every blocker dead (the proof is in `cache.rs`).
     pub(crate) fn blockers(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.blockers.iter().map(|&(_, n)| n)
-    }
-
-    /// Replaces the last decision with `covered` groups and `voids`
-    /// copied into pooled vectors — the cache-hit path, allocation-free
-    /// once the pool is warm. Leaves the blockers alone: only the
-    /// cache's store path reads them, right after a computed decision.
-    pub(crate) fn load<'e>(
-        &mut self,
-        covered: impl Iterator<Item = (NodeId, &'e [NodeId])>,
-        voids: &[NodeId],
-    ) {
-        self.recycle();
-        for (next_hop, dests) in covered {
-            let mut group = self.group_pool.pop().unwrap_or_default();
-            group.extend_from_slice(dests);
-            self.grouping.covered.push(CoveredGroup {
-                dests: group,
-                next_hop,
-            });
-        }
-        self.grouping.voids.extend_from_slice(voids);
     }
 
     /// Empties the last decision, returning its group vectors to the pool.
@@ -580,6 +553,7 @@ mod tests {
                     None,
                     Some(alive),
                 )
+                .to_grouping()
                 .covered[0]
                 .next_hop
         };

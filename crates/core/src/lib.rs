@@ -41,6 +41,8 @@ pub mod cache;
 pub mod grouping;
 pub mod router;
 
-pub use cache::{CacheConfig, CacheStats, ConcurrentTreeCache, TreeCache};
+pub use cache::{
+    CacheConfig, CacheStats, ConcurrentTreeCache, Decision, StoredGrouping, TreeCache,
+};
 pub use grouping::{group_destinations, CoveredGroup, DecisionScratch, Grouping};
 pub use router::{GmpConfig, GmpRouter};

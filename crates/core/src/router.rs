@@ -4,11 +4,11 @@ use std::sync::Arc;
 
 use gmp_geom::Point;
 use gmp_net::face::perimeter_next_hop;
-use gmp_net::PerimeterState;
+use gmp_net::{NodeId, PerimeterState};
 use gmp_sim::{DestList, Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 
-use crate::cache::{CacheStats, ConcurrentTreeCache, TreeCache};
-use crate::grouping::{DecisionScratch, Grouping};
+use crate::cache::{CacheStats, ConcurrentTreeCache, Decision, TreeCache};
+use crate::grouping::DecisionScratch;
 
 /// Configuration of the GMP router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,49 +118,48 @@ impl GmpRouter {
     }
 }
 
-/// Builds the forwards for the covered groups and, if needed, one
-/// perimeter-mode copy for the void destinations. Merging coalesces the
-/// covered list in place; every copy's destination list is built from
-/// the grouping's slices, so the scratch keeps its vectors.
-fn emit(
+/// Builds one forward per covered `(next hop, destinations)` group and,
+/// if there are voids, one perimeter-mode copy for them. Every copy's
+/// destination list is built from the decision's slices, so a computed
+/// decision's scratch and a stored decision's entry are only read. A
+/// perimeter copy's state is written into the received packet's box,
+/// `prior_perimeter`, when there is one, and boxed afresh only when there
+/// is not.
+///
+/// Generic over the groups' iterator so that each form of a
+/// [`Decision`] gets its own loop: one shared iterator over both forms
+/// cost about a tenth of `replay-warm`'s throughput.
+fn emit<'d>(
     config: GmpConfig,
     ctx: &NodeContext<'_>,
     packet: &MulticastPacket,
-    grouping: &mut Grouping,
-    prior_perimeter: Option<PerimeterState>,
+    covered: impl Iterator<Item = (NodeId, &'d [NodeId])>,
+    voids: &[NodeId],
+    prior_perimeter: Option<Box<PerimeterState>>,
     out: &mut Vec<Forward>,
 ) {
-    let had_covered = !grouping.covered.is_empty();
-    if config.merge_same_next_hop {
-        // Coalesce groups sharing a next hop into one copy.
-        grouping.covered.sort_by_key(|g| g.next_hop);
-        grouping.covered.dedup_by(|b, a| {
-            if a.next_hop == b.next_hop {
-                a.dests.append(&mut b.dests);
-                a.dests.sort();
-                true
-            } else {
-                false
-            }
-        });
-    }
-    out.extend(grouping.covered.iter().map(|g| {
+    let before = out.len();
+    out.extend(covered.map(|(next_hop, group)| {
         // A group carrying the packet's whole destination list forwards
         // the list itself — by reference count when it is too long to be
         // held inline — the steady state of every pass-through hop.
-        let dests = if packet.dests == g.dests {
+        let dests = if *packet.dests == *group {
             packet.dests.clone()
         } else {
-            DestList::from(g.dests.as_slice())
+            DestList::from(group)
         };
         Forward {
             // Step 4 of Figure 7: a found next hop clears PERIMODE.
-            next_hop: g.next_hop,
+            next_hop,
             packet: packet.split(dests, RoutingState::Greedy),
         }
     }));
+    let had_covered = out.len() > before;
+    if config.merge_same_next_hop {
+        merge_same_next_hop(packet, out, before);
+    }
 
-    if grouping.voids.is_empty() {
+    if voids.is_empty() {
         return;
     }
 
@@ -169,29 +168,64 @@ fn emit(
         // "If no valid next hop can be found for any of the groups, the
         // packet remains in perimeter mode with the same previous
         // average destination."
-        (Some(prev), false) => *prev,
+        (Some(prev), false) => **prev,
         // Fresh perimeter round (or partially-covered: "a new perimeter
         // group will replace uncovered groups and a new average
         // destination location is calculated").
         _ => {
-            let avg = Point::centroid(grouping.voids.iter().map(|&d| ctx.pos_of(d)))
-                .expect("voids non-empty");
+            let avg =
+                Point::centroid(voids.iter().map(|&d| ctx.pos_of(d))).expect("voids non-empty");
             PerimeterState::enter(ctx.pos(), avg)
         }
     };
     match perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, &mut state) {
-        Ok(next_hop) => out.push(Forward {
-            next_hop,
-            packet: packet.split(
-                grouping.voids.as_slice(),
-                RoutingState::Perimeter(Box::new(state)),
-            ),
-        }),
+        Ok(next_hop) => {
+            let state = match prior_perimeter {
+                Some(mut reused) => {
+                    *reused = state;
+                    reused
+                }
+                None => Box::new(state),
+            };
+            out.push(Forward {
+                next_hop,
+                packet: packet.split(voids, RoutingState::Perimeter(state)),
+            });
+        }
         Err(_) => {
             // Unreachable void destinations: the copy dies here and the
             // runner records them as failed.
         }
     }
+}
+
+/// The [`GmpConfig::merge_same_next_hop`] ablation over the greedy copies
+/// `emit` pushed to `out[from..]`: copies sharing a next hop become one,
+/// carrying their destinations in ascending order, and the copies go out
+/// in ascending next-hop order (a stable sort, so a copy keeps its place
+/// among equal hops).
+fn merge_same_next_hop(packet: &MulticastPacket, out: &mut Vec<Forward>, from: usize) {
+    if out.len() < from + 2 {
+        return;
+    }
+    out[from..].sort_by_key(|f| f.next_hop);
+    let mut last = from;
+    for i in from + 1..out.len() {
+        if out[i].next_hop != out[last].next_hop {
+            last += 1;
+            out.swap(last, i);
+            continue;
+        }
+        let mut dests = out[last].packet.dests.to_vec();
+        dests.extend_from_slice(&out[i].packet.dests);
+        dests.sort_unstable();
+        out[last].packet.dests = if *packet.dests == *dests {
+            packet.dests.clone()
+        } else {
+            DestList::from(dests)
+        };
+    }
+    out.truncate(last + 1);
 }
 
 impl Protocol for GmpRouter {
@@ -206,27 +240,31 @@ impl Protocol for GmpRouter {
     fn on_packet(
         &mut self,
         ctx: &NodeContext<'_>,
-        packet: MulticastPacket,
+        mut packet: MulticastPacket,
         out: &mut Vec<Forward>,
     ) {
         debug_assert!(!packet.dests.is_empty());
-        let prior = match &packet.state {
-            RoutingState::Perimeter(p) => Some(**p),
+        // A perimeter packet's state box travels on with the void copy, if
+        // this node sends one.
+        let prior = match std::mem::take(&mut packet.state) {
+            RoutingState::Perimeter(p) => Some(p),
             _ => None,
         };
+        let entry = prior.as_ref().map(|p| p.entry);
+        let config = self.config;
         // Step 4 of the Section 4.1 perimeter procedure: every receiving
         // node (perimeter or not) first tries normal GMP grouping. For a
         // perimeter packet the exit must also beat the entry point's total
         // distance (GPSR's progress rule), or the packet would bounce
         // straight back into the void.
-        match &mut self.cache {
+        let decision = match &mut self.cache {
             CacheBackend::Private(cache) => cache.group_destinations_cached(
                 &mut self.scratch,
                 ctx.topo,
                 ctx.node,
                 &packet.dests,
-                self.config.radio_range_aware,
-                prior.map(|p| p.entry),
+                config.radio_range_aware,
+                entry,
                 ctx.alive,
             ),
             CacheBackend::Shared(cache) => cache.group_destinations_cached(
@@ -234,19 +272,18 @@ impl Protocol for GmpRouter {
                 ctx.topo,
                 ctx.node,
                 &packet.dests,
-                self.config.radio_range_aware,
-                prior.map(|p| p.entry),
+                config.radio_range_aware,
+                entry,
                 ctx.alive,
             ),
         };
-        emit(
-            self.config,
-            ctx,
-            &packet,
-            self.scratch.grouping_mut(),
-            prior,
-            out,
-        );
+        match decision {
+            Decision::Computed(g) => {
+                let covered = g.covered.iter().map(|c| (c.next_hop, c.dests.as_slice()));
+                emit(config, ctx, &packet, covered, &g.voids, prior, out);
+            }
+            Decision::Stored(s) => emit(config, ctx, &packet, s.covered(), s.voids(), prior, out),
+        }
     }
 }
 
@@ -291,13 +328,96 @@ mod tests {
         };
         for (task_seed, plain_tx, merged_tx) in [(20_003, 188, 123), (20_035, 114, 193)] {
             let task = MulticastTask::random(&topo, 12, task_seed);
-            let plain = run(&topo, &config, &mut GmpRouter::new(), &task);
-            let merged = run(&topo, &config, &mut GmpRouter::with_config(merging), &task);
+            let mut plain_router = GmpRouter::new();
+            let mut merging_router = GmpRouter::with_config(merging);
+            let plain = run(&topo, &config, &mut plain_router, &task);
+            let merged = run(&topo, &config, &mut merging_router, &task);
             assert!(plain.delivered_all(), "task {task_seed}");
             assert!(merged.delivered_all(), "task {task_seed}");
             let got = (plain.transmissions, merged.transmissions);
             assert_eq!(got, (plain_tx, merged_tx), "task {task_seed}");
+
+            // Replayed through the same routers, every decision is a
+            // stored entry, merged after it is emitted: same reports.
+            for (router, first) in [(&mut plain_router, &plain), (&mut merging_router, &merged)] {
+                let cold = router.cache_stats();
+                let again = run(&topo, &config, router, &task);
+                assert_eq!(&again, first, "task {task_seed}");
+                let warm = router.cache_stats();
+                assert_eq!(
+                    (warm.misses, warm.fallbacks),
+                    (cold.misses, cold.fallbacks),
+                    "task {task_seed}: every replayed lookup hits"
+                );
+                assert!(warm.hits > cold.hits);
+            }
         }
+    }
+
+    /// A perimeter copy's state, where its box holds it.
+    fn perimeter_state(packet: &MulticastPacket) -> &PerimeterState {
+        match &packet.state {
+            RoutingState::Perimeter(state) => state,
+            other => panic!("not a perimeter copy: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn perimeter_copies_reuse_the_received_box() {
+        // Nodes 0 and 1 are each other's only neighbor. Destination 3 lies
+        // far to the west, void from both; destination 2 lies to the east,
+        // where node 1 makes progress.
+        let positions = vec![
+            Point::new(1100.0, 500.0),
+            Point::new(1200.0, 500.0),
+            Point::new(1400.0, 500.0),
+            Point::new(100.0, 500.0),
+        ];
+        let topo = Topology::from_positions(positions, Aabb::square(2000.0), 150.0);
+        let config = SimConfig::paper().with_node_count(4);
+        let ctx = |node| NodeContext {
+            topo: &topo,
+            node: NodeId(node),
+            config: &config,
+            alive: None,
+        };
+        let mut router = GmpRouter::new();
+
+        // Node 0 enters perimeter mode for destination 3 and hands the
+        // copy to node 1, which finds no exit either and continues the
+        // walk in the box it received.
+        let initial = MulticastPacket::new(0, NodeId(0), vec![NodeId(3)]);
+        let mut entered = router.route(&ctx(0), initial);
+        assert_eq!(entered.len(), 1, "{entered:?}");
+        let hop = entered.pop().unwrap();
+        assert_eq!(hop.next_hop, NodeId(1));
+        let received: *const PerimeterState = perimeter_state(&hop.packet);
+        let continued = router.route(&ctx(1), hop.packet);
+        assert_eq!(continued.len(), 1, "{continued:?}");
+        assert_eq!(continued[0].next_hop, NodeId(0));
+        assert!(std::ptr::eq(
+            perimeter_state(&continued[0].packet),
+            received
+        ));
+
+        // At node 0, a perimeter packet for both destinations exits toward
+        // destination 2 through node 1 and starts a fresh round for
+        // destination 3, written over the received state.
+        let mut packet = MulticastPacket::new(0, NodeId(0), vec![NodeId(2), NodeId(3)]);
+        packet.state = RoutingState::Perimeter(Box::new(PerimeterState::enter(
+            Point::new(1050.0, 500.0),
+            Point::new(100.0, 500.0),
+        )));
+        let received: *const PerimeterState = perimeter_state(&packet);
+        let out = router.route(&ctx(0), packet);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert_eq!(out[0].next_hop, NodeId(1));
+        assert_eq!(out[0].packet.dests, vec![NodeId(2)]);
+        assert_eq!(out[0].packet.state, RoutingState::Greedy);
+        let state = perimeter_state(&out[1].packet);
+        assert!(std::ptr::eq(state, received));
+        assert_eq!(state.entry, Point::new(1100.0, 500.0), "a fresh round");
+        assert_eq!(state.dest, Point::new(100.0, 500.0));
     }
 
     #[test]
@@ -309,7 +429,7 @@ mod tests {
         let report = run(&topo, &config, &mut GmpRouter::new(), &task);
         assert!(report.delivered_all());
         assert_eq!(report.transmissions, 5);
-        assert_eq!(report.delivery_hops[&NodeId(5)], 5);
+        assert_eq!(report.hops_to(NodeId(5)), Some(5));
     }
 
     #[test]
@@ -428,7 +548,7 @@ mod tests {
                 gmp_sim::FailureCause::Disconnected
             )]
         );
-        assert!(report.delivery_hops.contains_key(&NodeId(17)));
+        assert!(report.hops_to(NodeId(17)).is_some());
         assert!(!report.truncated);
     }
 

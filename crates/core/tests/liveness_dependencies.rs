@@ -82,7 +82,7 @@ fn a_warm_entry_serves_exactly_the_views_it_is_valid_for() {
             let mut private_lookup = |view| {
                 let g = private
                     .group_destinations_cached(&mut scratch, topo, node, &dests, rra, None, view)
-                    .clone();
+                    .to_grouping();
                 (g, private.stats())
             };
             let (got, _) = private_lookup(v);
@@ -95,7 +95,7 @@ fn a_warm_entry_serves_exactly_the_views_it_is_valid_for() {
             let mut shared_lookup = |view| {
                 shared
                     .group_destinations_cached(&mut scratch, topo, node, &dests, rra, None, view)
-                    .clone()
+                    .to_grouping()
             };
             prop_assert_eq!(&shared_lookup(v), &warm);
             prop_assert_eq!(&shared_lookup(v2), &expect, "shared cache under V′");

@@ -1,7 +1,5 @@
 //! Per-task measurement results.
 
-use std::collections::BTreeMap;
-
 use gmp_net::NodeId;
 
 pub use gmp_faults::{FailedDest, FailureCause};
@@ -16,11 +14,13 @@ pub struct TaskReport {
     /// Total energy in joules, including listener receive power (Fig. 14).
     pub energy_j: f64,
     /// Hop count at which each destination was first reached (Fig. 12
-    /// averages these).
-    pub delivery_hops: BTreeMap<NodeId, u32>,
+    /// averages these): one `(destination, hops)` entry per first
+    /// delivery, sorted ascending by destination.
+    pub delivery_hops: Vec<(NodeId, u32)>,
     /// Simulated time at which each destination was first reached,
-    /// seconds (latency CDFs).
-    pub delivery_times_s: BTreeMap<NodeId, f64>,
+    /// seconds (latency CDFs): one `(destination, time)` entry per first
+    /// delivery, in the order of [`TaskReport::delivery_hops`].
+    pub delivery_times_s: Vec<(NodeId, f64)>,
     /// Destinations never reached, each with its failure cause as
     /// classified by the delivery-guarantee oracle (Fig. 15 counts tasks
     /// with any of these), sorted by destination id.
@@ -51,8 +51,8 @@ impl TaskReport {
             protocol,
             transmissions: 0,
             energy_j: 0.0,
-            delivery_hops: BTreeMap::new(),
-            delivery_times_s: BTreeMap::new(),
+            delivery_hops: Vec::new(),
+            delivery_times_s: Vec::new(),
             failed_dests: Vec::new(),
             dropped_packets: 0,
             completion_time_s: 0.0,
@@ -71,6 +71,15 @@ impl TaskReport {
     /// Number of destinations reached.
     pub fn delivered_count(&self) -> usize {
         self.delivery_hops.len()
+    }
+
+    /// The hop count at which `dest` was first reached, or `None` if it
+    /// never was.
+    pub fn hops_to(&self, dest: NodeId) -> Option<u32> {
+        self.delivery_hops
+            .binary_search_by_key(&dest, |&(d, _)| d)
+            .ok()
+            .map(|i| self.delivery_hops[i].1)
     }
 
     /// The failed destination ids, without causes (the pre-oracle shape
@@ -93,14 +102,17 @@ impl TaskReport {
             return None;
         }
         Some(
-            self.delivery_hops.values().map(|&h| h as f64).sum::<f64>()
+            self.delivery_hops
+                .iter()
+                .map(|&(_, h)| h as f64)
+                .sum::<f64>()
                 / self.delivery_hops.len() as f64,
         )
     }
 
     /// The largest per-destination hop count, or `None` if none delivered.
     pub fn max_dest_hops(&self) -> Option<u32> {
-        self.delivery_hops.values().copied().max()
+        self.delivery_hops.iter().map(|&(_, h)| h).max()
     }
 
     /// Renders an ns-2-style event trace: one `s`end line per transmission
@@ -121,7 +133,7 @@ impl TaskReport {
         for (i, (&(from, to), &t)) in self.links.iter().zip(&self.link_times_s).enumerate() {
             events.push((t, i, Kind::Send(from, to)));
         }
-        for (&node, &t) in &self.delivery_times_s {
+        for &(node, t) in &self.delivery_times_s {
             events.push((t, usize::MAX, Kind::Recv(node)));
         }
         events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -250,8 +262,7 @@ mod tests {
     #[test]
     fn delivery_statistics() {
         let mut r = TaskReport::new("GMP".into());
-        r.delivery_hops.insert(NodeId(1), 4);
-        r.delivery_hops.insert(NodeId(2), 8);
+        r.delivery_hops = vec![(NodeId(1), 4), (NodeId(2), 8)];
         r.failed_dests
             .push(FailedDest::new(NodeId(3), FailureCause::Disconnected));
         r.failed_dests
@@ -268,6 +279,8 @@ mod tests {
         );
         assert_eq!(r.mean_dest_hops(), Some(6.0));
         assert_eq!(r.max_dest_hops(), Some(8));
+        assert_eq!(r.hops_to(NodeId(2)), Some(8));
+        assert_eq!(r.hops_to(NodeId(3)), None, "a failed destination");
     }
 
     #[test]

@@ -507,7 +507,7 @@ impl<'a> Session<'a> {
         self.decisions
     }
 
-    /// Runs the end-of-task sweep (delivery maps, link logs, the
+    /// Runs the end-of-task sweep (delivery lists, link logs, the
     /// delivery-guarantee oracle) and returns the report plus the scratch
     /// for reuse.
     ///
@@ -530,12 +530,11 @@ impl<'a> Session<'a> {
             faults,
             ..
         } = &mut self.scratch;
-        // Ascending keys append to the maps' rightmost leaves.
+        // One entry per first delivery, so the keys are distinct and the
+        // sorted lists are collected at their exact size.
         deliveries.sort_unstable_by_key(|&(to, _, _)| to);
-        for &(to, hops, time) in deliveries.iter() {
-            self.report.delivery_hops.insert(to, hops);
-            self.report.delivery_times_s.insert(to, time);
-        }
+        self.report.delivery_hops = deliveries.iter().map(|&(to, hops, _)| (to, hops)).collect();
+        self.report.delivery_times_s = deliveries.iter().map(|&(to, _, time)| (to, time)).collect();
         self.report.links = log.links.to_vec();
         self.report.link_times_s = log.times.to_vec();
         if *pending_count > 0 {
@@ -808,7 +807,7 @@ mod tests {
         let report = runner.run(&mut Greedy, &task);
         assert!(report.delivered_all());
         assert_eq!(report.transmissions, 4);
-        assert_eq!(report.delivery_hops[&NodeId(4)], 4);
+        assert_eq!(report.hops_to(NodeId(4)), Some(4));
         assert_eq!(report.dropped_packets, 0);
         assert!(!report.truncated);
         // Energy: senders 0,1,2,3 have 1,2,2,2 listeners respectively.
@@ -854,8 +853,8 @@ mod tests {
         let report = runner.run(&mut Greedy, &task);
         assert!(report.delivered_all());
         assert_eq!(report.transmissions, 6);
-        assert_eq!(report.delivery_hops[&NodeId(0)], 3);
-        assert_eq!(report.delivery_hops[&NodeId(6)], 3);
+        assert_eq!(report.hops_to(NodeId(0)), Some(3));
+        assert_eq!(report.hops_to(NodeId(6)), Some(3));
         assert_eq!(report.mean_dest_hops(), Some(3.0));
     }
 

@@ -111,7 +111,8 @@ fn steady_state_event_loop_allocates_only_report_outputs() {
 
     // Per-task budget, all of it output that escapes the loop:
     //   2  report.links and report.link_times_s, one exact-size copy each
-    //   2  one leaf node in each delivery BTreeMap (one destination)
+    //   2  report.delivery_hops and report.delivery_times_s, one
+    //      exact-size vector each (one destination)
     // The protocol's name is an empty `String` and the one-destination
     // initial packet holds its list inline: neither allocates. Everything
     // else — queue, slab, on-air heap, pending, forwards, link log — must

@@ -53,7 +53,7 @@ fn delivery_hop_counts_are_consistent_with_the_hop_cap() {
     let task = MulticastTask::random(&topo, 15, 9);
     for proto in all_protocols().iter_mut() {
         let report = runner.run(proto.as_mut(), &task);
-        for (&dest, &hops) in &report.delivery_hops {
+        for &(dest, hops) in &report.delivery_hops {
             assert!(hops >= 1, "{}: {dest} delivered in 0 hops", proto.name());
             assert!(hops <= 100, "{}: {dest} exceeded hop cap", proto.name());
         }

@@ -82,10 +82,10 @@ fn packet_funnels_then_splits_near_the_junction() {
 
     // c is both a destination and the relay for the others: it must be
     // delivered strictly earlier (fewer hops) than u, v, d.
-    let c_hops = report.delivery_hops[&NodeId(2)];
+    let c_hops = report.hops_to(NodeId(2)).expect("c is delivered");
     for far in [NodeId(7), NodeId(8), NodeId(9)] {
         assert!(
-            report.delivery_hops[&far] > c_hops,
+            report.hops_to(far).expect("every destination is delivered") > c_hops,
             "{far} delivered no later than the en-route destination c"
         );
     }

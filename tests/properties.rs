@@ -85,7 +85,7 @@ proptest! {
             );
         }
         // Hop accounting sanity.
-        for &h in report.delivery_hops.values() {
+        for &(_, h) in &report.delivery_hops {
             prop_assert!(h as usize <= report.transmissions);
         }
         prop_assert_eq!(report.links.len(), report.transmissions);
