@@ -105,52 +105,41 @@ impl fmt::Display for ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// Instantiates a fresh router (protocols are cheap to build; SMT
-    /// computes its tree lazily per task).
-    pub fn build(&self) -> Box<dyn Protocol> {
-        match *self {
-            ProtocolKind::Gmp => Box::new(GmpRouter::new()),
-            ProtocolKind::GmpNr => Box::new(GmpRouter::without_radio_range_awareness()),
-            ProtocolKind::Pbm(l) => Box::new(PbmRouter::with_lambda(l)),
-            // PbmBest is resolved in `run_task`; building it alone yields
-            // the default λ.
-            ProtocolKind::PbmBest => Box::new(PbmRouter::new()),
-            ProtocolKind::Lgs => Box::new(LgsRouter::new()),
-            ProtocolKind::Grd => Box::new(GrdRouter::new()),
-            ProtocolKind::Smt => Box::new(SmtRouter::new()),
-            ProtocolKind::Mcfr => Box::new(McfrRouter::new()),
-            ProtocolKind::Gvg => Box::new(GvgRouter::new()),
-        }
-    }
-
-    /// Runs one task, resolving [`ProtocolKind::PbmBest`]'s per-task λ
-    /// sweep exactly as the paper does (keep the run with the fewest
-    /// total hops).
+    /// Runs one task with failure-injection seed `seed` on a fresh router
+    /// (protocols are cheap to build; SMT computes its tree at the source's
+    /// first decision), resolving [`ProtocolKind::PbmBest`]'s per-task λ
+    /// sweep exactly as the paper does (keep the run with the fewest total
+    /// hops).
     pub fn run_task(
         &self,
         topo: &Topology,
         config: &SimConfig,
         task: &MulticastTask,
+        seed: u64,
     ) -> TaskReport {
         let runner = TaskRunner::new(topo, config);
-        match self {
-            ProtocolKind::PbmBest => PBM_LAMBDAS
-                .iter()
-                .map(|&l| {
-                    let mut p = PbmRouter::with_lambda(l);
-                    runner.run(&mut p, task)
-                })
-                .min_by(|a, b| {
-                    // Prefer full delivery, then fewest transmissions.
-                    (a.failed_dests.len(), a.transmissions)
-                        .cmp(&(b.failed_dests.len(), b.transmissions))
-                })
-                .expect("lambda sweep non-empty"),
-            _ => {
-                let mut p = self.build();
-                runner.run(p.as_mut(), task)
+        let mut router: Box<dyn Protocol> = match *self {
+            ProtocolKind::PbmBest => {
+                return PBM_LAMBDAS
+                    .iter()
+                    .map(|&l| runner.run_seeded(&mut PbmRouter::with_lambda(l), task, seed))
+                    .min_by(|a, b| {
+                        // Prefer full delivery, then fewest transmissions.
+                        (a.failed_dests.len(), a.transmissions)
+                            .cmp(&(b.failed_dests.len(), b.transmissions))
+                    })
+                    .expect("lambda sweep non-empty");
             }
-        }
+            ProtocolKind::Gmp => Box::new(GmpRouter::new()),
+            ProtocolKind::GmpNr => Box::new(GmpRouter::without_radio_range_awareness()),
+            ProtocolKind::Pbm(l) => Box::new(PbmRouter::with_lambda(l)),
+            ProtocolKind::Lgs => Box::new(LgsRouter::new()),
+            ProtocolKind::Grd => Box::new(GrdRouter::new()),
+            ProtocolKind::Smt => Box::new(SmtRouter::new()),
+            ProtocolKind::Mcfr => Box::new(McfrRouter::new()),
+            ProtocolKind::Gvg => Box::new(GvgRouter::new()),
+        };
+        runner.run_seeded(router.as_mut(), task, seed)
     }
 }
 
@@ -204,7 +193,7 @@ mod tests {
             ProtocolKind::Mcfr,
             ProtocolKind::Gvg,
         ] {
-            let report = kind.run_task(&topo, &config, &task);
+            let report = kind.run_task(&topo, &config, &task, 0);
             assert!(
                 report.delivered_all(),
                 "{kind} failed {:?}",
@@ -244,9 +233,9 @@ mod tests {
             .with_area_side(700.0);
         let topo = Topology::random(&config.topology_config(), 4);
         let task = MulticastTask::random(&topo, 8, 5);
-        let best = ProtocolKind::PbmBest.run_task(&topo, &config, &task);
+        let best = ProtocolKind::PbmBest.run_task(&topo, &config, &task, 0);
         for &l in &PBM_LAMBDAS {
-            let single = ProtocolKind::Pbm(l).run_task(&topo, &config, &task);
+            let single = ProtocolKind::Pbm(l).run_task(&topo, &config, &task, 0);
             if single.delivered_all() {
                 assert!(best.transmissions <= single.transmissions);
             }

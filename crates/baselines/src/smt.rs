@@ -20,17 +20,16 @@ use gmp_net::NodeId;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 use gmp_steiner::kmb::kmb;
 
-/// The centralized source-routing baseline.
-#[derive(Debug, Clone, Default)]
-pub struct SmtRouter {
-    tree: Option<Arc<HashMap<NodeId, Vec<NodeId>>>>,
-}
+/// The centralized source-routing baseline. It keeps no state: the
+/// source computes the tree at its first decision, and every copy carries
+/// it from there.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SmtRouter;
 
 impl SmtRouter {
-    /// Creates the router. The routing tree is computed per task in
-    /// [`Protocol::on_task_start`].
+    /// Creates the router.
     pub fn new() -> Self {
-        SmtRouter { tree: None }
+        SmtRouter
     }
 
     /// Destinations of `packet` lying in the subtree rooted at `child`.
@@ -52,14 +51,14 @@ impl SmtRouter {
         found.sort();
         found
     }
-}
 
-impl Protocol for SmtRouter {
-    fn name(&self) -> String {
-        "SMT".into()
-    }
-
-    fn on_task_start(&mut self, ctx: &NodeContext<'_>, source: NodeId, dests: &[NodeId]) {
+    /// The KMB tree from `ctx.node` to `dests` over the unit-disk graph,
+    /// as the packet-embedded child map; `None` when no tree exists.
+    fn source_tree(
+        ctx: &NodeContext<'_>,
+        dests: &[NodeId],
+    ) -> Option<Arc<HashMap<NodeId, Vec<NodeId>>>> {
+        let source = ctx.node;
         // Unit-disk graph with hop weights.
         let graph: Vec<Vec<(u32, f64)>> = (0..ctx.topo.len())
             .map(|i| {
@@ -89,7 +88,7 @@ impl Protocol for SmtRouter {
             seen
         };
         terminals.retain(|&t| reachable[t as usize]);
-        self.tree = kmb(&graph, &terminals).map(|t| {
+        kmb(&graph, &terminals).map(|t| {
             // Vertex-indexed children lists; only reached vertices carry a
             // (possibly empty) entry in the packet-embedded map.
             let to_nodes = |v: &[u32]| -> Vec<NodeId> { v.iter().copied().map(NodeId).collect() };
@@ -102,7 +101,13 @@ impl Protocol for SmtRouter {
                 }
             }
             Arc::new(rooted)
-        });
+        })
+    }
+}
+
+impl Protocol for SmtRouter {
+    fn name(&self) -> String {
+        "SMT".into()
     }
 
     fn on_packet(
@@ -111,10 +116,11 @@ impl Protocol for SmtRouter {
         packet: MulticastPacket,
         out: &mut Vec<Forward>,
     ) {
-        let tree: Arc<HashMap<NodeId, Vec<NodeId>>> = match &packet.state {
+        // Only the source's first decision arrives without a tree.
+        let tree = match &packet.state {
             RoutingState::SourceTree(t) => Arc::clone(t),
-            _ => match &self.tree {
-                Some(t) => Arc::clone(t),
+            _ => match Self::source_tree(ctx, &packet.dests) {
+                Some(t) => t,
                 None => return, // no tree: all terminals stranded
             },
         };

@@ -38,7 +38,6 @@ proptest! {
             alive: None,
         };
         for mut proto in protocols() {
-            proto.on_task_start(&ctx, task.source, &task.dests);
             let packet = MulticastPacket::new(0, task.source, task.dests.clone());
             let forwards = proto.route(&ctx, packet);
             // Collect all destinations across emitted copies.

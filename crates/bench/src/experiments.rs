@@ -354,10 +354,8 @@ fn run_cell(cell: &Cell, topo: &Topology, net: usize, tasks: usize) -> Tally {
         let seed = task_seed(net, t);
         let task = MulticastTask::random(topo, cell.k, seed);
         let loss_seed = if cell.seeded_loss { seed } else { 0 };
-        // `run_task` resolves `PbmBest`'s per-task λ sweep, at loss seed 0.
         let report = match cell.router {
-            Router::Kind(kind) if loss_seed == 0 => kind.run_task(topo, &config, &task),
-            Router::Kind(kind) => runner.run_seeded(kind.build().as_mut(), &task, loss_seed),
+            Router::Kind(kind) => kind.run_task(topo, &config, &task, loss_seed),
             Router::Pbm(c) => runner.run_seeded(&mut PbmRouter::with_config(c), &task, loss_seed),
         };
         tally.record(&task, &report);

@@ -190,7 +190,9 @@ fn populated_cache_parity_holds_under_paranoid_mode() {
     // asserts the stored grouping identical — the run fails loudly if a
     // single served entry drifts from recomputation. Routers read the
     // variable at construction, and this file is its own test binary, so
-    // setting it here cannot leak into other suites.
+    // setting it here cannot leak into other suites; restoring the
+    // previous value keeps a caller's own setting for the rest of this one.
+    let previous = std::env::var_os("GMP_CACHE_PARANOID");
     std::env::set_var("GMP_CACHE_PARANOID", "1");
     let config = SimConfig::paper().with_node_count(300);
     let topo = Topology::random(&config.topology_config(), 31);
@@ -198,5 +200,8 @@ fn populated_cache_parity_holds_under_paranoid_mode() {
         .map(|i| MulticastTask::random(&topo, 9, 600 + i))
         .collect();
     run_matrix(&topo, &tasks, 1);
-    std::env::remove_var("GMP_CACHE_PARANOID");
+    match previous {
+        Some(value) => std::env::set_var("GMP_CACHE_PARANOID", value),
+        None => std::env::remove_var("GMP_CACHE_PARANOID"),
+    }
 }

@@ -25,7 +25,9 @@ use gmp_baselines::{GvgRouter, McfrRouter};
 use gmp_geom::Point;
 use gmp_net::topology::{Hole, Topology, TopologyConfig};
 use gmp_net::NodeId;
-use gmp_service::{EngineProtocol, ServiceConfig, ServiceWorkload, SessionEngine, WorkloadParams};
+use gmp_service::{
+    ParallelProtocol, ServiceConfig, ServiceWorkload, SessionEngine, WorkloadParams,
+};
 use gmp_sim::{FaultPlan, MulticastTask, Protocol, SimConfig, TaskRunner};
 use proptest::prelude::*;
 
@@ -206,8 +208,10 @@ proptest! {
             &config,
             ServiceConfig { max_in_flight: capacity },
         );
-        let mut shared = guaranteed(proto);
-        let run = engine.run(EngineProtocol::Shared(shared.as_mut()), &workload);
+        // One worker: one instance shared by every session.
+        let shared = move || guaranteed(proto);
+        let run = engine.run_parallel(ParallelProtocol::PerWorker(&shared), &workload, 1);
+        let name = guaranteed(proto).name();
         prop_assert!(!run.outcomes.is_empty(), "workload produced no sessions");
 
         let runner = TaskRunner::new(&topo, &config);
@@ -216,7 +220,7 @@ proptest! {
                 outcome.report.unjustified_failures().count(),
                 0,
                 "{} session {} failed unjustified: {:?}",
-                shared.name(),
+                name,
                 outcome.id,
                 outcome.report.failed_dests
             );
@@ -227,7 +231,7 @@ proptest! {
                 &outcome.report,
                 &report,
                 "{} session {} diverged from solo (capacity {})",
-                shared.name(),
+                name,
                 outcome.id,
                 capacity
             );

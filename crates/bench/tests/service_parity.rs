@@ -9,9 +9,9 @@
 //! every completed session solo through [`TaskRunner::run_seeded`] with a
 //! fresh protocol instance. Any divergence means engine interleaving
 //! leaked state between sessions. The sweep crosses topology seeds,
-//! admission capacities, fault/churn plans, and the protocol sharing
-//! modes (GMP and LGS shared, SMT per-session — SMT keeps per-task state,
-//! which is exactly what `EngineProtocol::PerSession` exists for).
+//! admission capacities, fault/churn plans, and three protocols, each
+//! one instance shared by every session: GMP with its decision cache,
+//! LGS, and SMT, whose source tree rides in the packet.
 //!
 //! This suite rides next to `sim_parity` and `cache_parity` in CI: all
 //! three pin the bit-exactness contracts the benches' speedups rely on.
@@ -23,8 +23,7 @@ use gmp_baselines::{LgsRouter, SmtRouter};
 use gmp_core::{CacheConfig, ConcurrentTreeCache, GmpRouter};
 use gmp_net::{NodeId, Topology};
 use gmp_service::{
-    EngineProtocol, ParallelProtocol, ServiceConfig, ServiceRun, ServiceWorkload, SessionEngine,
-    WorkloadParams,
+    ParallelProtocol, ServiceConfig, ServiceRun, ServiceWorkload, SessionEngine, WorkloadParams,
 };
 use gmp_sim::{FaultPlan, Protocol, SimConfig, TaskRunner};
 use proptest::prelude::*;
@@ -32,13 +31,12 @@ use proptest::prelude::*;
 /// A fresh-protocol-instance constructor.
 type ProtocolFactory = fn() -> Box<dyn Protocol>;
 
-/// The protocol modes under test: name, whether the engine may share one
-/// instance across sessions, and a fresh-instance factory.
-fn factory(mode: usize) -> (&'static str, bool, ProtocolFactory) {
+/// The protocols under test: name and a fresh-instance factory.
+fn factory(mode: usize) -> (&'static str, ProtocolFactory) {
     match mode {
-        0 => ("gmp", true, || Box::new(GmpRouter::new())),
-        1 => ("lgs", true, || Box::new(LgsRouter::new())),
-        _ => ("smt", false, || Box::new(SmtRouter::new())),
+        0 => ("gmp", || Box::new(GmpRouter::new())),
+        1 => ("lgs", || Box::new(LgsRouter::new())),
+        _ => ("smt", || Box::new(SmtRouter::new())),
     }
 }
 
@@ -95,20 +93,14 @@ proptest! {
         };
         let workload = ServiceWorkload::random(&candidates, &params, &plan, workload_seed);
 
-        let (name, shared, fresh) = factory(mode);
+        let (name, fresh) = factory(mode);
         let mut engine = SessionEngine::with_service(
             &topo,
             &config,
             ServiceConfig { max_in_flight: capacity },
         );
-        let run = if shared {
-            let mut protocol = fresh();
-            engine.run(EngineProtocol::Shared(protocol.as_mut()), &workload)
-        } else {
-            let mut make = fresh;
-            let mut boxed_factory = move || make();
-            engine.run(EngineProtocol::PerSession(&mut boxed_factory), &workload)
-        };
+        // One worker: one instance shared by every session.
+        let run = engine.run_parallel(ParallelProtocol::PerWorker(&fresh), &workload, 1);
         prop_assert!(!run.outcomes.is_empty(), "workload produced no sessions");
         prop_assert_eq!(
             run.outcomes.len() + run.skipped_empty,

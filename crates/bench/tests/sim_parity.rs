@@ -77,8 +77,6 @@ mod seed_ref {
                 alive: None,
             };
 
-            protocol.on_task_start(&ctx_at(task.source), task.source, &task.dests);
-
             let initial = MulticastPacket::new(0, task.source, task.dests.clone());
             let forwards = protocol.route(&ctx_at(task.source), initial);
             self.transmit_jittered(
@@ -272,8 +270,8 @@ mod seed_ref {
     }
 }
 
-/// Every protocol in the workspace, freshly constructed (protocols may
-/// carry per-task state, so old and new runs each get their own instance).
+/// Every protocol in the workspace, freshly constructed, so old and new
+/// runs each start from a cold router (GMP's decision cache included).
 fn protocols() -> Vec<Box<dyn Protocol>> {
     vec![
         Box::new(GmpRouter::new()),

@@ -46,9 +46,3 @@ pub use segment::Segment;
 /// micrometer is far below any physically meaningful distinction while being
 /// comfortably above `f64` rounding noise for coordinates of this magnitude.
 pub const EPS: f64 = 1e-6;
-
-/// Returns `true` if two scalar values are within [`EPS`] of each other.
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPS
-}

@@ -6,7 +6,9 @@
 //! With a fixed seed, every session's [`TaskReport`] is bit-identical to
 //! running that session alone through [`gmp_sim::TaskRunner::run_seeded`].
 //! That holds because sessions share only outcome-neutral state: the
-//! read-only topology, a decision cache whose hits are verified bit-exact
+//! read-only topology, one protocol instance per worker (every protocol
+//! carries its routing state in the packet, so the instance holds none
+//! for any task), a decision cache whose hits are verified bit-exact
 //! before use, and pooled scratch buffers that each session resets on
 //! entry. Everything outcome-bearing — the event queue, RNG, report,
 //! fault runtime, and the task-local clock (each session starts at its
@@ -16,13 +18,13 @@
 //! # Scheduling
 //!
 //! Sessions arrive at their spec's `start_s` on a shared service clock.
-//! One global event wheel (a binary heap keyed by `start_s +
-//! session-local next event time`, admission order breaking ties) merges
-//! all in-flight sessions' event streams; each pop steps exactly one
-//! session by one event batch. New sessions are admitted when their
+//! Each worker runs one event wheel (a binary heap keyed by `start_s +
+//! session-local next event time`, admission order breaking ties) that
+//! merges its in-flight sessions' event streams; each pop steps exactly
+//! one session by one event batch. New sessions are admitted when their
 //! arrival time is due relative to the wheel head and a slot is free
-//! (`ServiceConfig::max_in_flight` bounds in-flight sessions, which
-//! bounds peak scratch memory). Membership is snapshotted at the
+//! (`ServiceConfig::max_in_flight`, split evenly across workers, bounds
+//! in-flight sessions, which bounds peak scratch memory). Membership is snapshotted at the
 //! session's *scheduled* `start_s` via [`MembershipClock`], so admission
 //! back-pressure never changes what a session multicasts to.
 //!
@@ -33,15 +35,15 @@
 //! `w, w+n, w+2n, …` of the workload and drives them through its own
 //! copy of the wheel loop, with a private [`MembershipClock`] replay
 //! (the strided subset stays sorted by `start_s`, so replay yields the
-//! same snapshots the global clock would), private scratch, and a
-//! per-worker or per-session protocol. Because each session's outcome
-//! is a pure function of `(task, seed)` — the solo-parity invariant
-//! above — the partition cannot change any report; results merge by
-//! session id into the same order `run` produces. The partition is
-//! *static* rather than work-stealing: a racy claim order would let OS
-//! scheduling decide which worker's scratch grows to which high-water
-//! mark, and a warmed engine would no longer allocate the same on every
-//! run (`tests/steady_allocs.rs`; see DESIGN.md, "Concurrency model").
+//! same snapshots the global clock would), private scratch, and its own
+//! protocol instance. Because each session's outcome is a pure function
+//! of `(task, seed)` — the solo-parity invariant above — the partition
+//! cannot change any report; results merge into session-id order. The
+//! partition is *static* rather than work-stealing: a racy claim order
+//! would let OS scheduling decide which worker's scratch grows to which
+//! high-water mark, and a warmed engine would no longer allocate the same
+//! on every run (`tests/steady_allocs.rs`; see DESIGN.md, "Concurrency
+//! model").
 
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -66,29 +68,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How the engine obtains a routing protocol for each session.
-///
-/// Stateless-per-task protocols (GMP and all baselines except SMT)
-/// can share one instance across every session — the caller keeps
-/// ownership, so e.g. a `GmpRouter`'s cache statistics remain readable
-/// after the run. Task-stateful protocols get a fresh instance per
-/// session from the factory.
-pub enum EngineProtocol<'p> {
-    /// One protocol instance shared by every session.
-    Shared(&'p mut dyn Protocol),
-    /// A factory producing one fresh instance per session.
-    PerSession(&'p mut dyn FnMut() -> Box<dyn Protocol>),
-}
-
-impl std::fmt::Debug for EngineProtocol<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineProtocol::Shared(_) => f.write_str("EngineProtocol::Shared"),
-            EngineProtocol::PerSession(_) => f.write_str("EngineProtocol::PerSession"),
-        }
-    }
-}
-
 /// How [`SessionEngine::run_parallel`] workers obtain protocols.
 ///
 /// [`Protocol`] has no `Send` bound, so instances cannot cross threads;
@@ -98,20 +77,13 @@ impl std::fmt::Debug for EngineProtocol<'_> {
 /// and hand each router a clone of the handle.
 #[derive(Clone, Copy)]
 pub enum ParallelProtocol<'p> {
-    /// One fresh instance per worker, shared by that worker's sessions
-    /// (the parallel analogue of [`EngineProtocol::Shared`]).
+    /// One fresh instance per worker, shared by that worker's sessions.
     PerWorker(&'p (dyn Fn() -> Box<dyn Protocol> + Sync)),
-    /// A fresh instance per session (for task-stateful protocols, the
-    /// analogue of [`EngineProtocol::PerSession`]).
-    PerSession(&'p (dyn Fn() -> Box<dyn Protocol> + Sync)),
 }
 
 impl std::fmt::Debug for ParallelProtocol<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParallelProtocol::PerWorker(_) => f.write_str("ParallelProtocol::PerWorker"),
-            ParallelProtocol::PerSession(_) => f.write_str("ParallelProtocol::PerSession"),
-        }
+        f.write_str("ParallelProtocol::PerWorker")
     }
 }
 
@@ -162,9 +134,6 @@ struct Active<'a> {
     seed: u64,
     task: MulticastTask,
     session: Session<'a>,
-    /// `Some` when the protocol is per-session; `None` means step with
-    /// the shared instance.
-    protocol: Option<Box<dyn Protocol>>,
     admitted: Instant,
 }
 
@@ -200,10 +169,9 @@ impl Ord for WheelEntry {
 
 /// Drives many multicast sessions over one shared topology.
 ///
-/// The engine owns a scratch pool that persists across [`run`] calls, so
-/// a warmed engine admits sessions without allocating new scratch state.
-///
-/// [`run`]: SessionEngine::run
+/// The engine owns a scratch pool that persists across
+/// [`run_parallel`](SessionEngine::run_parallel) calls, so a warmed engine
+/// admits sessions without allocating new scratch state.
 #[derive(Debug)]
 pub struct SessionEngine<'a> {
     topo: &'a Topology,
@@ -232,33 +200,16 @@ impl<'a> SessionEngine<'a> {
         }
     }
 
-    /// Runs every session of `workload` to completion, interleaved.
+    /// Runs every session of `workload` to completion, interleaved and
+    /// sharded over `threads` worker threads (see the module docs,
+    /// *Parallel execution*).
     ///
     /// Returns one [`SessionOutcome`] per non-empty session, sorted by
-    /// session id.
-    pub fn run(&mut self, protocol: EngineProtocol<'_>, workload: &ServiceWorkload) -> ServiceRun {
-        let mut run = run_shard(
-            self.topo,
-            self.config,
-            self.service.max_in_flight,
-            protocol,
-            workload,
-            &workload.sessions,
-            &mut self.pool,
-        );
-        run.outcomes.sort_by_key(|o| o.id);
-        run
-    }
-
-    /// [`run`](SessionEngine::run) sharded over `threads` worker
-    /// threads (see the module docs, *Parallel execution*).
-    ///
-    /// Every session's report is bit-identical to what `run` — or a
-    /// solo [`TaskRunner::run_seeded`] — produces, independent of
-    /// `threads`; the outcomes are returned in the same id order. The
-    /// engine's scratch pool is split round-robin across workers and
-    /// re-collected afterwards, so a warmed engine stays warm across
-    /// parallel runs at the same worker count.
+    /// session id. Every session's report is bit-identical to a solo
+    /// [`TaskRunner::run_seeded`], independent of `threads`. The engine's
+    /// scratch pool is split round-robin across workers and re-collected
+    /// afterwards, so a warmed engine stays warm across runs at the same
+    /// worker count.
     pub fn run_parallel(
         &mut self,
         protocol: ParallelProtocol<'_>,
@@ -282,10 +233,7 @@ impl<'a> SessionEngine<'a> {
 
         let topo = self.topo;
         let config = self.config;
-        let factory: &(dyn Fn() -> Box<dyn Protocol> + Sync) = match protocol {
-            ParallelProtocol::PerWorker(f) | ParallelProtocol::PerSession(f) => f,
-        };
-        let per_session = matches!(protocol, ParallelProtocol::PerSession(_));
+        let ParallelProtocol::PerWorker(factory) = protocol;
 
         let mut results: Vec<(ServiceRun, Vec<SimScratch>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
@@ -296,29 +244,16 @@ impl<'a> SessionEngine<'a> {
                         // Protocols are created inside the worker:
                         // `Protocol` is not `Send`, only the factory
                         // crosses threads.
-                        let run = if per_session {
-                            let mut make = || factory();
-                            run_shard(
-                                topo,
-                                config,
-                                per_worker,
-                                EngineProtocol::PerSession(&mut make),
-                                workload,
-                                shard,
-                                &mut pool,
-                            )
-                        } else {
-                            let mut own = factory();
-                            run_shard(
-                                topo,
-                                config,
-                                per_worker,
-                                EngineProtocol::Shared(own.as_mut()),
-                                workload,
-                                shard,
-                                &mut pool,
-                            )
-                        };
+                        let mut own = factory();
+                        let run = run_shard(
+                            topo,
+                            config,
+                            per_worker,
+                            own.as_mut(),
+                            workload,
+                            shard,
+                            &mut pool,
+                        );
                         (run, pool)
                     })
                 })
@@ -351,9 +286,10 @@ impl<'a> SessionEngine<'a> {
 
 /// Runs one shard of session specs through the event-wheel loop.
 ///
-/// This is the whole engine for a single thread: [`SessionEngine::run`]
-/// calls it with every spec, [`SessionEngine::run_parallel`] with each
-/// worker's strided subset. `specs` must be sorted by `start_s` (any
+/// This is the whole engine for one worker thread:
+/// [`SessionEngine::run_parallel`] calls it with each worker's strided
+/// subset and that worker's protocol, which every session of the shard
+/// shares. `specs` must be sorted by `start_s` (any
 /// subsequence of a workload's session list is), so the shard-local
 /// [`MembershipClock`] replay snapshots exactly what the global clock
 /// would. Outcomes are returned in completion order.
@@ -361,7 +297,7 @@ fn run_shard<'a>(
     topo: &'a Topology,
     config: &'a SimConfig,
     max_in_flight: usize,
-    mut protocol: EngineProtocol<'_>,
+    protocol: &mut dyn Protocol,
     workload: &ServiceWorkload,
     specs: &[SessionSpec],
     pool: &mut Vec<SimScratch>,
@@ -408,14 +344,7 @@ fn run_shard<'a>(
                 }
                 None => SimScratch::new(),
             };
-            let mut own = match &mut protocol {
-                EngineProtocol::Shared(_) => None,
-                EngineProtocol::PerSession(factory) => Some(factory()),
-            };
-            let session = {
-                let p = borrow_protocol(&mut protocol, &mut own);
-                Session::begin(runner, p, &task, spec.seed, scratch)
-            };
+            let session = Session::begin(runner, protocol, &task, spec.seed, scratch);
             let active = Active {
                 id: spec.id,
                 group: spec.group,
@@ -423,7 +352,6 @@ fn run_shard<'a>(
                 seed: spec.seed,
                 task,
                 session,
-                protocol: own,
                 admitted: Instant::now(),
             };
             let slot = match free_slots.pop() {
@@ -471,13 +399,11 @@ fn run_shard<'a>(
             continue;
         };
 
-        {
-            let active = slots[head.slot]
-                .as_mut()
-                .expect("wheel entry points at a live session");
-            let p = borrow_protocol(&mut protocol, &mut active.protocol);
-            active.session.step(p);
-        }
+        slots[head.slot]
+            .as_mut()
+            .expect("wheel entry points at a live session")
+            .session
+            .step(protocol);
         let next = slots[head.slot]
             .as_ref()
             .and_then(|a| a.session.next_time());
@@ -510,23 +436,6 @@ fn run_shard<'a>(
         skipped_empty,
         scratch_reuses,
         decisions: decisions_total,
-    }
-}
-
-/// The protocol a session steps with: its own boxed instance when
-/// per-session, the shared instance otherwise.
-fn borrow_protocol<'s>(
-    protocol: &'s mut EngineProtocol<'_>,
-    own: &'s mut Option<Box<dyn Protocol>>,
-) -> &'s mut dyn Protocol {
-    if let Some(boxed) = own {
-        return boxed.as_mut();
-    }
-    match protocol {
-        EngineProtocol::Shared(shared) => &mut **shared,
-        EngineProtocol::PerSession(_) => {
-            unreachable!("per-session engines always carry an owned protocol")
-        }
     }
 }
 

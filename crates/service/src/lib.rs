@@ -24,9 +24,7 @@ pub mod engine;
 pub mod membership;
 pub mod workload;
 
-pub use engine::{
-    EngineProtocol, ParallelProtocol, ServiceConfig, ServiceRun, SessionEngine, SessionOutcome,
-};
+pub use engine::{ParallelProtocol, ServiceConfig, ServiceRun, SessionEngine, SessionOutcome};
 pub use membership::{GroupId, MembershipAction, MembershipSet, MembershipUpdate};
 pub use workload::{
     GroupSpec, MembershipClock, ServiceWorkload, SessionSpec, TimedUpdate, WorkloadParams,
@@ -35,10 +33,26 @@ pub use workload::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmp_core::GmpRouter;
+    use gmp_core::{CacheConfig, ConcurrentTreeCache, GmpRouter};
     use gmp_faults::FaultPlan;
     use gmp_net::{NodeId, Topology, TopologyConfig};
-    use gmp_sim::{SimConfig, TaskRunner};
+    use gmp_sim::{Protocol, SimConfig, TaskRunner};
+    use std::sync::Arc;
+
+    /// A fresh `GmpRouter` with its own cache, one per worker.
+    fn gmp() -> Box<dyn Protocol> {
+        Box::new(GmpRouter::default())
+    }
+
+    /// Hands each worker a `GmpRouter` over `cache`.
+    fn over(cache: &Arc<ConcurrentTreeCache>) -> impl Fn() -> Box<dyn Protocol> + Sync {
+        let cache = Arc::clone(cache);
+        move || Box::new(GmpRouter::with_shared_cache(Arc::clone(&cache))) as Box<dyn Protocol>
+    }
+
+    fn shared_cache() -> Arc<ConcurrentTreeCache> {
+        Arc::new(ConcurrentTreeCache::with_config(CacheConfig::default()))
+    }
 
     fn paper_setup() -> (Topology, SimConfig) {
         let config = SimConfig::paper();
@@ -68,10 +82,11 @@ mod tests {
     fn engine_is_deterministic_across_runs() {
         let (topo, config) = paper_setup();
         let w = workload(&topo, 64, 21);
-        let mut router = GmpRouter::default();
+        // One cache across both runs, so the second runs warm.
+        let factory = over(&shared_cache());
         let mut engine = SessionEngine::new(&topo, &config);
-        let a = engine.run(EngineProtocol::Shared(&mut router), &w);
-        let b = engine.run(EngineProtocol::Shared(&mut router), &w);
+        let a = engine.run_parallel(ParallelProtocol::PerWorker(&factory), &w, 1);
+        let b = engine.run_parallel(ParallelProtocol::PerWorker(&factory), &w, 1);
         assert_eq!(a.outcomes.len(), b.outcomes.len());
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
             assert_eq!(x.id, y.id);
@@ -86,10 +101,9 @@ mod tests {
     fn concurrent_reports_match_solo_runs() {
         let (topo, config) = paper_setup();
         let w = workload(&topo, 48, 33);
-        let mut router = GmpRouter::default();
         let mut engine =
             SessionEngine::with_service(&topo, &config, ServiceConfig { max_in_flight: 7 });
-        let run = engine.run(EngineProtocol::Shared(&mut router), &w);
+        let run = engine.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 1);
         assert!(!run.outcomes.is_empty());
 
         let runner = TaskRunner::new(&topo, &config);
@@ -109,9 +123,8 @@ mod tests {
         let (topo, config) = paper_setup();
         let w = workload(&topo, 40, 5);
         let resolved = w.resolve_tasks();
-        let mut router = GmpRouter::default();
         let mut engine = SessionEngine::new(&topo, &config);
-        let run = engine.run(EngineProtocol::Shared(&mut router), &w);
+        let run = engine.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 1);
         let expected_some = resolved.iter().flatten().count();
         assert_eq!(run.outcomes.len(), expected_some);
         assert_eq!(run.skipped_empty, resolved.len() - expected_some);
@@ -129,52 +142,30 @@ mod tests {
     fn scratch_pool_reaches_steady_state() {
         let (topo, config) = paper_setup();
         let w = workload(&topo, 32, 2);
-        let mut router = GmpRouter::default();
         let mut engine =
             SessionEngine::with_service(&topo, &config, ServiceConfig { max_in_flight: 4 });
-        let first = engine.run(EngineProtocol::Shared(&mut router), &w);
+        let first = engine.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 1);
         // At most 4 scratches ever exist; everything past the warm-up
         // reuses one.
         assert!(engine.pooled_scratches() <= 4);
         assert!(first.scratch_reuses >= first.outcomes.len().saturating_sub(4));
         // A warmed engine allocates no new scratches at all.
-        let second = engine.run(EngineProtocol::Shared(&mut router), &w);
+        let second = engine.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 1);
         assert_eq!(second.scratch_reuses, second.outcomes.len());
-    }
-
-    #[test]
-    fn per_session_protocols_complete() {
-        let (topo, config) = paper_setup();
-        let w = workload(&topo, 16, 13);
-        let mut factory = || Box::new(GmpRouter::default()) as Box<dyn gmp_sim::Protocol>;
-        let mut engine = SessionEngine::new(&topo, &config);
-        let run = engine.run(EngineProtocol::PerSession(&mut factory), &w);
-        let mut shared = GmpRouter::default();
-        let shared_run = engine.run(EngineProtocol::Shared(&mut shared), &w);
-        assert_eq!(run.outcomes.len(), shared_run.outcomes.len());
-        for (a, b) in run.outcomes.iter().zip(&shared_run.outcomes) {
-            assert_eq!(a.report, b.report);
-        }
     }
 
     #[test]
     fn parallel_matches_sequential_engine_across_thread_counts() {
         let (topo, config) = paper_setup();
         let w = workload(&topo, 48, 33);
-        let mut router = GmpRouter::default();
+        // The reference: one worker, one router with a private cache.
         let mut engine = SessionEngine::new(&topo, &config);
-        let reference = engine.run(EngineProtocol::Shared(&mut router), &w);
+        let reference = engine.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 1);
         assert!(!reference.outcomes.is_empty());
 
-        let shared = std::sync::Arc::new(gmp_core::ConcurrentTreeCache::with_config(
-            gmp_core::CacheConfig::default(),
-        ));
+        let shared = shared_cache();
+        let factory = over(&shared);
         for threads in [1usize, 2, 4, 8] {
-            let cache = std::sync::Arc::clone(&shared);
-            let factory = move || {
-                Box::new(GmpRouter::with_shared_cache(std::sync::Arc::clone(&cache)))
-                    as Box<dyn gmp_sim::Protocol>
-            };
             let mut par_engine = SessionEngine::new(&topo, &config);
             let run = par_engine.run_parallel(ParallelProtocol::PerWorker(&factory), &w, threads);
             assert_eq!(
@@ -198,33 +189,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_per_session_matches_per_worker() {
-        let (topo, config) = paper_setup();
-        let w = workload(&topo, 24, 9);
-        let factory = || Box::new(GmpRouter::default()) as Box<dyn gmp_sim::Protocol>;
-        let mut engine = SessionEngine::new(&topo, &config);
-        let per_worker = engine.run_parallel(ParallelProtocol::PerWorker(&factory), &w, 3);
-        let per_session = engine.run_parallel(ParallelProtocol::PerSession(&factory), &w, 3);
-        assert_eq!(per_worker.outcomes.len(), per_session.outcomes.len());
-        for (a, b) in per_worker.outcomes.iter().zip(&per_session.outcomes) {
-            assert_eq!(a.report, b.report);
-        }
-    }
-
-    #[test]
     fn parallel_pool_stays_warm_across_runs() {
         let (topo, config) = paper_setup();
         let w = workload(&topo, 32, 2);
-        let factory = || Box::new(GmpRouter::default()) as Box<dyn gmp_sim::Protocol>;
         let mut engine =
             SessionEngine::with_service(&topo, &config, ServiceConfig { max_in_flight: 8 });
-        engine.run_parallel(ParallelProtocol::PerWorker(&factory), &w, 4);
+        engine.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 4);
         let pooled = engine.pooled_scratches();
         assert!(pooled >= 1, "workers must return scratches to the pool");
         assert!(pooled <= 8, "pool bounded by the admission budget");
         // A warmed engine re-run at the same worker count allocates no
         // new scratches: every admission reuses a pooled one.
-        let second = engine.run_parallel(ParallelProtocol::PerWorker(&factory), &w, 4);
+        let second = engine.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 4);
         assert_eq!(second.scratch_reuses, second.outcomes.len());
         assert_eq!(engine.pooled_scratches(), pooled);
     }
@@ -233,13 +209,11 @@ mod tests {
     fn capacity_one_serializes_without_changing_outcomes() {
         let (topo, config) = paper_setup();
         let w = workload(&topo, 24, 77);
-        let mut r1 = GmpRouter::default();
         let mut wide = SessionEngine::new(&topo, &config);
-        let a = wide.run(EngineProtocol::Shared(&mut r1), &w);
-        let mut r2 = GmpRouter::default();
+        let a = wide.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 1);
         let mut narrow =
             SessionEngine::with_service(&topo, &config, ServiceConfig { max_in_flight: 1 });
-        let b = narrow.run(EngineProtocol::Shared(&mut r2), &w);
+        let b = narrow.run_parallel(ParallelProtocol::PerWorker(&gmp), &w, 1);
         assert_eq!(a.outcomes.len(), b.outcomes.len());
         for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
             assert_eq!(x.report, y.report);

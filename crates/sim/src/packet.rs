@@ -210,11 +210,6 @@ impl MulticastPacket {
         }
     }
 
-    /// `true` if the packet is in perimeter mode (the PERIMODE flag).
-    pub fn in_perimeter_mode(&self) -> bool {
-        matches!(self.state, RoutingState::Perimeter(_))
-    }
-
     /// The packet's size in bytes, as the header-overhead ablation
     /// charges it: an 18-byte header (magic, version, sequence number,
     /// origin and hop count), a one-byte state tag and the state's fields,

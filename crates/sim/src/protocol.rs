@@ -84,6 +84,10 @@ pub struct Forward {
 /// from the destination list and recording the delivery. The protocol
 /// appends the set of copies to transmit next to `out`; appending nothing
 /// terminates this copy.
+///
+/// A protocol keeps no per-task state: whatever a later hop needs travels
+/// in the packet's [`RoutingState`](crate::RoutingState), so one instance
+/// may serve many interleaved tasks.
 pub trait Protocol {
     /// Short display name used in experiment tables ("GMP", "PBM λ=0.3"…).
     fn name(&self) -> String;
@@ -95,10 +99,6 @@ pub trait Protocol {
     /// drains it after each decision, so a fresh decision always starts
     /// from an empty buffer without the protocol having to know.
     fn on_packet(&mut self, ctx: &NodeContext<'_>, packet: MulticastPacket, out: &mut Vec<Forward>);
-
-    /// Called once when a task starts at `source`; protocols that
-    /// precompute per-task state (the centralized SMT baseline) hook this.
-    fn on_task_start(&mut self, _ctx: &NodeContext<'_>, _source: NodeId, _dests: &[NodeId]) {}
 
     /// Convenience wrapper collecting the forwards of one decision into a
     /// fresh vector — for tests and benchmarks; the simulator reuses a

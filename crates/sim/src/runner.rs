@@ -450,8 +450,6 @@ impl<'a> Session<'a> {
                 config,
                 alive: has_crashes.then_some(alive.as_slice()),
             };
-            protocol.on_task_start(&ctx, task.source, &task.dests);
-
             // The source processes the initial packet at t = 0.
             let initial = MulticastPacket::new(0, task.source, task.dests.as_slice());
             protocol.on_packet(&ctx, initial, forwards);
@@ -494,11 +492,6 @@ impl<'a> Session<'a> {
         } else {
             self.scratch.queue.peek_time()
         }
-    }
-
-    /// `true` once [`Session::step`] has exhausted the session's work.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Routing decisions made so far ([`Protocol::on_packet`] calls,

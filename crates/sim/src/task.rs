@@ -38,24 +38,9 @@ impl MulticastTask {
     ///
     /// Panics if the topology has fewer than `k + 1` nodes.
     pub fn random(topo: &Topology, k: usize, seed: u64) -> Self {
-        let ids: Vec<NodeId> = (0..topo.len() as u32).map(NodeId).collect();
-        MulticastTask::random_among(&ids, k, seed)
-    }
-
-    /// Draws a random task whose source and destinations all come from
-    /// `candidates` — the region-restricted form of
-    /// [`MulticastTask::random`] used by the sharded substrate, where the
-    /// eligible nodes are those inside a task window rather than the whole
-    /// network. With `candidates = 0..topo.len()` this is bit-identical to
-    /// `random` (same shuffle stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` has fewer than `k + 1` entries.
-    pub fn random_among(candidates: &[NodeId], k: usize, seed: u64) -> Self {
-        assert!(candidates.len() > k, "need at least k+1 nodes");
+        assert!(topo.len() > k, "need at least k+1 nodes");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ids = candidates.to_vec();
+        let mut ids: Vec<NodeId> = (0..topo.len() as u32).map(NodeId).collect();
         ids.shuffle(&mut rng);
         let source = ids[0];
         let dests = ids[1..=k].to_vec();

@@ -16,7 +16,7 @@
 //! adjacency list `&[Vec<(u32, f64)>]` so it works for any substrate.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// A Steiner tree over graph vertices.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,28 +28,9 @@ pub struct KmbTree {
 }
 
 impl KmbTree {
-    /// Orients the tree away from `root`, returning `children[v]` lists
-    /// keyed by vertex. Vertices not in the tree are absent.
-    ///
-    /// The SMT baseline embeds exactly this structure in its packets.
-    pub fn rooted_at(&self, root: u32) -> HashMap<u32, Vec<u32>> {
-        let n = self.vertex_id_bound(root);
-        let children = self.rooted_children(root, n);
-        let mut out = HashMap::new();
-        out.insert(root, children[root as usize].clone());
-        for ch in &children {
-            for &v in ch {
-                out.insert(v, children[v as usize].clone());
-            }
-        }
-        out
-    }
-
-    /// [`KmbTree::rooted_at`] with vertex-indexed storage: `children[v]`
-    /// for every `v < n`, where `n` bounds the graph's vertex ids.
-    /// Vertices not reached from `root` simply have empty lists (and never
-    /// appear as anyone's child). This is the hot-path form — one `Vec`
-    /// per vertex, no hashing.
+    /// Orients the tree away from `root`: `children[v]` for every `v < n`,
+    /// where `n` bounds the graph's vertex ids. Vertices not reached from
+    /// `root` have empty lists and never appear as anyone's child.
     pub fn rooted_children(&self, root: u32, n: usize) -> Vec<Vec<u32>> {
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         for &(u, v) in &self.edges {
@@ -70,28 +51,6 @@ impl KmbTree {
             }
         }
         children
-    }
-
-    /// An exclusive upper bound on the vertex ids used by the tree (and
-    /// `root`).
-    fn vertex_id_bound(&self, root: u32) -> usize {
-        self.edges
-            .iter()
-            .map(|&(u, v)| u.max(v))
-            .fold(root, u32::max) as usize
-            + 1
-    }
-
-    /// Number of vertices spanned by the tree.
-    pub fn vertex_count(&self) -> usize {
-        let mut s: Vec<u32> = Vec::with_capacity(self.edges.len() * 2);
-        for &(u, v) in &self.edges {
-            s.push(u);
-            s.push(v);
-        }
-        s.sort_unstable();
-        s.dedup();
-        s.len()
     }
 }
 
@@ -294,7 +253,24 @@ pub fn kmb(graph: &[Vec<(u32, f64)>], terminals: &[u32]) -> Option<KmbTree> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::HashMap;
+
+    /// The root plus every child `rooted_children` lists, sorted. A vertex
+    /// with two parents would appear twice.
+    pub(super) fn reached(tree: &KmbTree, root: u32, n: usize) -> Vec<u32> {
+        let mut out = vec![root];
+        out.extend(tree.rooted_children(root, n).into_iter().flatten());
+        out.sort_unstable();
+        out
+    }
+
+    /// The distinct endpoints of the tree's edges, sorted.
+    pub(super) fn spanned(tree: &KmbTree) -> Vec<u32> {
+        let mut out: Vec<u32> = tree.edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 
     /// Unweighted grid graph helper: `cols × rows`, unit edge weights.
     fn grid_graph(cols: usize, rows: usize) -> Vec<Vec<(u32, f64)>> {
@@ -336,23 +312,9 @@ mod tests {
         // of distances picks two edges of weight 4+4... pin the exact value:
         assert!(tree.total_weight <= 8.0 + 1e-9, "got {}", tree.total_weight);
         // All terminals spanned and connected.
-        let rooted = tree.rooted_at(0);
-        assert!(rooted.contains_key(&4));
-        assert!(rooted.contains_key(&20));
-    }
-
-    #[test]
-    fn rooted_children_matches_rooted_at() {
-        let g = grid_graph(5, 5);
-        let tree = kmb(&g, &[0, 4, 20, 24]).unwrap();
-        let map = tree.rooted_at(0);
-        let vecs = tree.rooted_children(0, g.len());
-        for v in 0..g.len() as u32 {
-            match map.get(&v) {
-                Some(cs) => assert_eq!(cs, &vecs[v as usize], "children of {v}"),
-                None => assert!(vecs[v as usize].is_empty(), "unreached {v} has children"),
-            }
-        }
+        let reached = reached(&tree, 0, g.len());
+        assert!(reached.contains(&4));
+        assert!(reached.contains(&20));
     }
 
     #[test]
@@ -381,18 +343,18 @@ mod tests {
         let terminals = [0u32, 5, 30, 35, 14];
         let tree = kmb(&g, &terminals).unwrap();
         // |E| = |V| - 1 for a tree.
-        assert_eq!(tree.edges.len(), tree.vertex_count() - 1);
-        let rooted = tree.rooted_at(0);
+        assert_eq!(tree.edges.len(), spanned(&tree).len() - 1);
+        let reached = reached(&tree, 0, g.len());
         for t in terminals {
-            assert!(rooted.contains_key(&t), "terminal {t} not spanned");
+            assert!(reached.contains(&t), "terminal {t} not spanned");
         }
-        // Every child has exactly one parent: count appearances.
-        let mut seen = HashSet::new();
-        for children in rooted.values() {
-            for &c in children {
-                assert!(seen.insert(c), "vertex {c} has two parents");
-            }
-        }
+        // Every child has exactly one parent, and the root reaches every
+        // vertex on an edge.
+        assert!(
+            reached.windows(2).all(|w| w[0] < w[1]),
+            "a vertex has two parents"
+        );
+        assert_eq!(reached, spanned(&tree));
     }
 
     #[test]
@@ -428,6 +390,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{reached, spanned};
     use super::*;
     use proptest::prelude::*;
 
@@ -474,15 +437,15 @@ mod proptests {
                 prop_assert!(tree.edges.is_empty());
                 return Ok(());
             }
-            prop_assert_eq!(tree.edges.len(), tree.vertex_count() - 1);
+            prop_assert_eq!(tree.edges.len(), spanned(&tree).len() - 1);
             // Every edge exists in the graph.
             for &(u, v) in &tree.edges {
                 prop_assert!(graph[u as usize].iter().any(|&(x, _)| x == v));
             }
             // Spans all terminals.
-            let rooted = tree.rooted_at(distinct[0]);
+            let reached = reached(&tree, distinct[0], n);
             for &t in &distinct {
-                prop_assert!(rooted.contains_key(&t), "terminal {t} missing");
+                prop_assert!(reached.contains(&t), "terminal {t} missing");
             }
             // 2-approximation bound versus the terminal-MST upper bound:
             // KMB's output never exceeds the MST of shortest-path

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 
 use gmp_baselines::ProtocolKind;
 use gmp_net::Topology;
-use gmp_sim::{MulticastTask, Scenario, SimConfig, TaskRunner};
+use gmp_sim::{MulticastTask, Scenario, SimConfig};
 
 use crate::viz::SvgScene;
 
@@ -185,7 +185,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, String> {
     let scenario = load(path)?;
     let topo = scenario.topology();
     let config = scenario_config(&scenario, &topo);
-    let runner = TaskRunner::new(&topo, &config);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -195,8 +194,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, String> {
     let mut total_hops = 0usize;
     let mut failures = 0usize;
     for (i, task) in scenario.tasks.iter().enumerate() {
-        let mut proto = kind.build();
-        let report = runner.run_seeded(proto.as_mut(), task, i as u64);
+        let report = kind.run_task(&topo, &config, task, i as u64);
         total_hops += report.transmissions;
         if !report.delivered_all() {
             failures += 1;
@@ -236,8 +234,7 @@ fn cmd_render(mut args: Vec<String>) -> Result<String, String> {
         .get(task_idx)
         .ok_or_else(|| format!("scenario has no task {task_idx}"))?;
     let config = scenario_config(&scenario, &topo);
-    let mut proto = kind.build();
-    let report = TaskRunner::new(&topo, &config).run_seeded(proto.as_mut(), task, task_idx as u64);
+    let report = kind.run_task(&topo, &config, task, task_idx as u64);
     let mut scene = SvgScene::new(topo.area());
     for node in topo.nodes() {
         scene.circle(node.pos, 1.5, "#cccccc");
@@ -405,6 +402,69 @@ mod tests {
                 "task {i}: {run}"
             );
         }
+    }
+
+    #[test]
+    fn pbm_runs_the_per_task_best_lambda_sweep() {
+        // `pbm` names PBM as the figures report it: each task keeps its
+        // best λ. On this scenario the sweep totals 127 transmissions
+        // against λ = 0.3's 139.
+        let scenario_path = tmp("pbm_sweep.txt");
+        let svg_path = tmp("pbm_sweep.svg");
+        run_cli(&s(&[
+            "generate",
+            "--nodes",
+            "400",
+            "--area",
+            "800",
+            "--seed",
+            "3",
+            "--tasks",
+            "6",
+            "--k",
+            "10",
+            &scenario_path,
+        ]))
+        .unwrap();
+        let scenario = Scenario::load(std::path::Path::new(&scenario_path)).unwrap();
+        let topo = scenario.topology();
+        let config = scenario_config(&scenario, &topo);
+        let transmissions = |kind: ProtocolKind| -> Vec<usize> {
+            scenario
+                .tasks
+                .iter()
+                .enumerate()
+                .map(|(i, t)| kind.run_task(&topo, &config, t, i as u64).transmissions)
+                .collect()
+        };
+        let best = transmissions(ProtocolKind::PbmBest);
+        let fixed = transmissions(ProtocolKind::Pbm(0.3));
+        let total: usize = best.iter().sum();
+        assert!(
+            total < fixed.iter().sum(),
+            "the sweep saves nothing here: {best:?} vs {fixed:?}"
+        );
+
+        let run = run_cli(&s(&["run", &scenario_path, "--protocol", "pbm"])).unwrap();
+        assert!(
+            run.contains(&format!(": {total} total transmissions")),
+            "{run}"
+        );
+        let task = (0..best.len()).find(|&i| best[i] != fixed[i]).unwrap();
+        let render = run_cli(&s(&[
+            "render",
+            &scenario_path,
+            &svg_path,
+            "--protocol",
+            "pbm",
+            "--task",
+            &task.to_string(),
+        ]))
+        .unwrap();
+        assert!(
+            render.contains(&format!("({} transmissions", best[task])),
+            "task {task}: {render}"
+        );
     }
 
     #[test]
